@@ -57,7 +57,7 @@ pub fn run(opts: &ExpOptions) -> serde_json::Value {
                     mode: SynthesisMode::GaOnly,
                     ..ColdConfig::paper(n, k2, k3)
                 };
-                let ctx = mk(settings).context.generate(derive_seed(seed, 0xC0));
+                let ctx = mk(settings).context_for(seed);
                 let baseline = mk(settings).synthesize_in_context(ctx.clone(), seed);
                 let variant = mk(ga).synthesize_in_context(ctx, seed);
                 ratios.push(variant.best_cost() / baseline.best_cost());

@@ -35,7 +35,7 @@ pub fn run(opts: &ExpOptions) -> serde_json::Value {
                     ColdConfig { ga: opts.ga_settings(), ..ColdConfig::paper(n, k2, k3) };
                 init_cfg.mode = SynthesisMode::Initialized;
                 let seed = derive_seed(opts.seed, (k3 as u64) << 32 | t as u64);
-                let ctx = init_cfg.context.generate(derive_seed(seed, 0xC0));
+                let ctx = init_cfg.context_for(seed);
                 // Initialized GA (gives us the four heuristics for free —
                 // they run on the same context as seeds).
                 let init = init_cfg.synthesize_in_context(ctx.clone(), seed);

@@ -31,7 +31,7 @@ pub fn run(opts: &ExpOptions) -> serde_json::Value {
                 ..ColdConfig::paper(n, k2, k3)
             };
             let seed = derive_seed(opts.seed, (k3 as u64) << 24 ^ (k2.to_bits() >> 40) ^ t as u64);
-            let ctx = cfg.context.generate(derive_seed(seed, 0xC0));
+            let ctx = cfg.context_for(seed);
             let init = cfg.synthesize_in_context(ctx.clone(), seed);
             let plain = ColdConfig { mode: SynthesisMode::GaOnly, ..cfg }
                 .synthesize_in_context(ctx.clone(), seed);

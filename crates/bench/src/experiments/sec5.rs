@@ -31,7 +31,7 @@ pub fn run(opts: &ExpOptions) -> serde_json::Value {
                     ..ColdConfig::quick(n, k2, k3)
                 };
                 let seed = derive_seed(opts.seed, (n as u64) << 32 | (k3 as u64) << 16 | t as u64);
-                let ctx = cfg.context.generate(derive_seed(seed, 0xC0));
+                let ctx = cfg.context_for(seed);
                 let eval = CostEvaluator::new(&ctx, cfg.params);
                 let bf = brute_force_optimum(&eval);
                 let ga = cfg.synthesize_in_context(ctx.clone(), seed);

@@ -94,8 +94,9 @@ fn resume_ga(path: &PathBuf) {
                 .unwrap_or_else(|e| fail(&format!("input `snapshot`: {e}"))),
         )
     };
+    let control = cold::RunControl { resume, ..cold::RunControl::default() };
     let result = config
-        .try_synthesize_resumable(seed, None, None, resume)
+        .try_run(seed, None, cold::RunMode::Standard, control)
         .unwrap_or_else(|e| fail(&format!("resume failed: {e}")));
     println!(
         "{}",

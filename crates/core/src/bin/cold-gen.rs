@@ -87,7 +87,7 @@ impl Default for Args {
 
 impl Args {
     /// Checkpointed-campaign mode: any crash-safety flag switches the
-    /// trial loop over to [`cold::run_campaign`].
+    /// trial loop over to [`cold::run_campaign_controlled`].
     fn campaign(&self) -> bool {
         self.checkpoint_every.is_some()
             || self.checkpoint.is_some()
@@ -264,7 +264,7 @@ fn evolve_main() -> ! {
         cold_obs::configure(cold_obs::TraceMode::Progress).expect("progress sink is infallible");
     }
     let _trace = cold_obs::trace::root("cli.evolve", &cold_obs::run_id(plan.seed));
-    let schedule = match cold::run_plan(&plan) {
+    let schedule = match cold::run_plan(&plan, None) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cold-gen evolve: {e}");
@@ -464,7 +464,7 @@ fn export_network(args: &Args, i: usize, network: &Network, context: &Context, n
     }
 }
 
-/// The checkpointed trial loop: [`cold::run_campaign`] with export and
+/// The checkpointed trial loop: [`cold::run_campaign_controlled`] with export and
 /// `--halt-after` crash injection in the per-trial hook. Returns whether
 /// any trial's GA run stalled (for the exit-5 path).
 fn run_checkpointed(args: &Args, cfg: &ColdConfig) -> bool {
@@ -486,7 +486,7 @@ fn run_checkpointed(args: &Args, cfg: &ColdConfig) -> bool {
     let deadline = args.trial_deadline.map(std::time::Duration::from_secs_f64);
     let mut fresh = 0usize;
     let mut stalled = false;
-    let outcome = cold::run_campaign(
+    let outcome = cold::run_campaign_controlled(
         cfg,
         args.seed,
         args.count,
@@ -494,6 +494,7 @@ fn run_checkpointed(args: &Args, cfg: &ColdConfig) -> bool {
         &ckpt_path,
         resume,
         deadline,
+        cold::CampaignControl::default(),
         |i, r: &cold::SynthesisResult| {
             stalled |= r.stop_reason == cold::StopReason::Stalled;
             export_network(args, i, &r.network, &r.context, "");
@@ -530,7 +531,8 @@ fn run_pareto(args: &Args, cfg: &ColdConfig) {
     let capacity = args.archive.unwrap_or(cold::pareto::DEFAULT_ARCHIVE_CAPACITY);
     for i in 0..args.count {
         let seed = cold_context::rng::derive_seed(args.seed, i as u64);
-        let r = match cold::try_synthesize_pareto(cfg, seed, capacity) {
+        let ctx = cfg.context_for(seed);
+        let r = match cold::try_synthesize_pareto_in_context(cfg, ctx, seed, capacity, None) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("cold-gen: pareto synthesis failed: {e}");
@@ -609,7 +611,7 @@ fn main() {
         // Deadline-guarded ensemble: an overrunning trial is abandoned,
         // retried once on a salted seed, and at worst lost — never a wedge.
         let deadline = std::time::Duration::from_secs_f64(secs);
-        let outcome = cfg.synthesize_ensemble_guarded(args.seed, args.count, Some(deadline));
+        let outcome = cfg.synthesize_ensemble(args.seed, args.count, Some(deadline));
         for (i, r) in &outcome.results {
             stalled |= r.stop_reason == cold::StopReason::Stalled;
             export_network(&args, *i, &r.network, &r.context, "");
@@ -635,27 +637,23 @@ fn main() {
     } else {
         for i in 0..args.count {
             let seed = cold_context::rng::derive_seed(args.seed, i as u64);
-            let (network, context, note) = if let Some(bc) = args.bridge_cost {
-                let (net, _, report) = match cold::resilience::synthesize_resilient(&cfg, bc, seed)
-                {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("cold-gen: resilient synthesis failed: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                let ctx = cfg.context.generate(cold_context::rng::derive_seed(seed, 0xC0));
-                let note = format!(
+            let mode = args.bridge_cost.map_or(cold::RunMode::Standard, |bridge_cost| {
+                cold::RunMode::Resilient { bridge_cost }
+            });
+            let r =
+                cfg.try_run(seed, None, mode, cold::RunControl::default()).unwrap_or_else(|e| {
+                    eprintln!("cold-gen: synthesis failed: {e}");
+                    std::process::exit(1);
+                });
+            stalled |= r.stop_reason == cold::StopReason::Stalled;
+            let note = args.bridge_cost.map_or_else(String::new, |_| {
+                let report = cold::resilience::survivability(&r.network.topology, &r.context);
+                format!(
                     ", bridges {} (2-edge-connected: {})",
                     report.bridges, report.two_edge_connected
-                );
-                (net, ctx, note)
-            } else {
-                let r = cfg.synthesize(seed);
-                stalled |= r.stop_reason == cold::StopReason::Stalled;
-                (r.network, r.context, String::new())
-            };
-            export_network(&args, i, &network, &context, &note);
+                )
+            });
+            export_network(&args, i, &r.network, &r.context, &note);
         }
     }
     // Close the journal (or progress stream) with a registry summary so

@@ -14,13 +14,15 @@
 //! previous snapshot intact, never a truncated one. See DESIGN.md §10.
 
 use crate::error::ColdError;
-use crate::synthesizer::{ColdConfig, ProgressSink, SynthesisResult, RETRY_SALT};
-use cold_context::rng::derive_seed;
-use cold_cost::Network;
+use crate::synthesizer::{
+    journal_failed_attempt, run_with_deadline, trial_seed, ColdConfig, ProgressSink, RunOutputs,
+    SynthesisResult,
+};
 use cold_graph::AdjacencyMatrix;
 use serde::{Deserialize as _, Serialize as _};
 use serde_json::{json, Value};
 use std::path::Path;
+use std::sync::atomic::Ordering;
 
 /// The deterministic outputs of one completed trial — everything needed
 /// to reproduce its [`SynthesisResult`] without re-running the GA.
@@ -96,17 +98,7 @@ impl TrialRecord {
         let topology = AdjacencyMatrix::from_edges(self.n, &self.edges).map_err(|e| {
             ColdError::Checkpoint(format!("trial {}: bad topology: {e:?}", self.trial))
         })?;
-        let ctx = config.context.generate(derive_seed(self.seed, 0xC0));
-        let network = Network::build(topology, &ctx, config.params).map_err(|e| {
-            ColdError::Checkpoint(format!("trial {}: stored topology unusable: {e:?}", self.trial))
-        })?;
-        let stats = crate::stats::NetworkStats::compute(&network.graph())
-            .expect("network built above is connected");
-        Ok(SynthesisResult {
-            journal_path: cold_obs::journal_path(),
-            context: ctx,
-            network,
-            stats,
+        let outputs = RunOutputs {
             best_cost_history: self.best_cost_history.clone(),
             final_population_costs: self.final_population_costs.clone(),
             heuristic_costs: self.heuristic_costs.clone(),
@@ -115,7 +107,14 @@ impl TrialRecord {
             repair_rate: self.repair_rate,
             generations_run: self.generations_run,
             stop_reason: self.stop_reason,
-        })
+        };
+        SynthesisResult::assemble(config.context_for(self.seed), topology, config.params, outputs)
+            .map_err(|e| {
+                ColdError::Checkpoint(format!(
+                    "trial {}: stored topology unusable: {e:?}",
+                    self.trial
+                ))
+            })
     }
 
     /// The record's JSON object form — the same shape embedded in a
@@ -404,7 +403,32 @@ impl CampaignCheckpoint {
     }
 }
 
-/// Runs (or resumes) a serial checkpointed campaign.
+/// Runtime control surface of [`run_campaign_controlled`] — everything a
+/// long-lived caller (the `cold-serve` worker pool) layers on top of the
+/// plain CLI campaign.
+#[derive(Default)]
+pub struct CampaignControl<'a> {
+    /// Live per-generation progress callback, forwarded into each fresh
+    /// trial's GA run (see [`ProgressSink`]). Rebuilt trials report no
+    /// generations — they never re-run the GA.
+    pub progress: Option<ProgressSink>,
+    /// Graceful-drain flag, checked *between* trials: when set, the
+    /// campaign snapshots its completed prefix and returns
+    /// [`ColdError::Canceled`]. The trial in flight when the flag flips
+    /// always runs to completion — cancellation never corrupts a trial.
+    pub cancel: Option<&'a std::sync::atomic::AtomicBool>,
+    /// Retry each failed trial once on the salted seed
+    /// [`trial_seed`]`(master_seed, trial, 2)` — the exact derivation
+    /// [`ColdConfig::synthesize_ensemble`] uses — before
+    /// giving up. Failed attempts are journaled as `trial_failed`; the
+    /// retry's seed is recorded in the trial's [`TrialRecord`], so
+    /// checkpoints of retried campaigns resume correctly.
+    pub retry_salted: bool,
+}
+
+/// Runs (or resumes) a serial checkpointed campaign under a
+/// [`CampaignControl`] (live progress, graceful cancellation, salted
+/// retries; `CampaignControl::default()` is the plain CLI campaign).
 ///
 /// Trials execute in index order with the same per-trial seeds as
 /// [`ColdConfig::ensemble`]; after every `checkpoint_every`-th completed
@@ -429,64 +453,11 @@ impl CampaignCheckpoint {
 ///
 /// # Errors
 /// Any [`ColdError`] from validation, trial synthesis, checkpoint
-/// rebuilding, or snapshot I/O. Unlike the parallel ensemble there is no
-/// in-loop retry: the checkpoint already bounds lost work, and the CLI
-/// reports the failed trial with the snapshot path for a manual resume.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign(
-    config: &ColdConfig,
-    master_seed: u64,
-    count: usize,
-    checkpoint_every: usize,
-    checkpoint_path: &Path,
-    resume: Option<CampaignCheckpoint>,
-    trial_deadline: Option<std::time::Duration>,
-    on_trial: impl FnMut(usize, &SynthesisResult),
-) -> Result<Vec<SynthesisResult>, ColdError> {
-    run_campaign_controlled(
-        config,
-        master_seed,
-        count,
-        checkpoint_every,
-        checkpoint_path,
-        resume,
-        trial_deadline,
-        CampaignControl::default(),
-        on_trial,
-    )
-}
-
-/// Runtime control surface of [`run_campaign_controlled`] — everything a
-/// long-lived driver (the `cold-serve` worker pool) layers on top of the
-/// plain CLI campaign.
-#[derive(Default)]
-pub struct CampaignControl<'a> {
-    /// Live per-generation progress callback, forwarded into each fresh
-    /// trial's GA run (see [`ProgressSink`]). Rebuilt trials report no
-    /// generations — they never re-run the GA.
-    pub progress: Option<ProgressSink>,
-    /// Graceful-drain flag, checked *between* trials: when set, the
-    /// campaign snapshots its completed prefix and returns
-    /// [`ColdError::Canceled`]. The trial in flight when the flag flips
-    /// always runs to completion — cancellation never corrupts a trial.
-    pub cancel: Option<&'a std::sync::atomic::AtomicBool>,
-    /// Retry each failed trial once on the salted seed
-    /// `derive_seed(derive_seed(master_seed, RETRY_SALT), trial)` — the
-    /// exact derivation [`ColdConfig::synthesize_ensemble`] uses — before
-    /// giving up. Failed attempts are journaled as `trial_failed`; the
-    /// retry's seed is recorded in the trial's [`TrialRecord`], so
-    /// checkpoints of retried campaigns resume correctly.
-    pub retry_salted: bool,
-}
-
-/// [`run_campaign`] with a [`CampaignControl`]: live progress, graceful
-/// cancellation, and ensemble-style salted retries. `cold-serve` runs
-/// every job through this path; `run_campaign` itself delegates here
-/// with the default (no-op) control, so the CLI behavior is unchanged.
-///
-/// # Errors
-/// Everything [`run_campaign`] can return, plus [`ColdError::Canceled`]
-/// when the control's cancel flag stops the campaign between trials.
+/// rebuilding, or snapshot I/O, plus [`ColdError::Canceled`] when the
+/// control's cancel flag stops the campaign between trials. Without
+/// `retry_salted` there is no in-loop retry: the checkpoint already
+/// bounds lost work, and the CLI reports the failed trial with the
+/// snapshot path for a manual resume.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_controlled(
     config: &ColdConfig,
@@ -497,14 +468,65 @@ pub fn run_campaign_controlled(
     resume: Option<CampaignCheckpoint>,
     trial_deadline: Option<std::time::Duration>,
     control: CampaignControl<'_>,
+    on_trial: impl FnMut(usize, &SynthesisResult),
+) -> Result<Vec<SynthesisResult>, ColdError> {
+    // One campaign span per invocation: trial spans (and their GA
+    // generations) nest under it in the trace tree.
+    let _span = cold_obs::span("core.campaign");
+    let attempts = if control.retry_salted { 2 } else { 1 };
+    let run_trial = |i: usize| {
+        let mut last_err = None;
+        for attempt in 1..=attempts {
+            let seed = trial_seed(master_seed, i, attempt);
+            match run_with_deadline(config, seed, trial_deadline, control.progress.clone()) {
+                Ok(r) => return Ok((seed, r)),
+                Err(e) => {
+                    journal_failed_attempt(i, attempt, seed, &e, control.retry_salted);
+                    last_err = Some(e);
+                }
+            }
+        }
+        Err(last_err.expect("a failed trial always records its error"))
+    };
+    drive_campaign(
+        config,
+        master_seed,
+        count,
+        checkpoint_every,
+        checkpoint_path,
+        resume,
+        control.cancel,
+        run_trial,
+        on_trial,
+    )
+}
+
+/// The campaign bookkeeping every campaign runner shares — the serial
+/// [`run_campaign_controlled`] and `cold-serve`'s distributed
+/// coordinator: resume, snapshots and `on_trial` exactly as documented
+/// there, with `next_trial(i)` producing each missing trial in order
+/// (the result and the seed it ran with). A set `cancel` flag — or a
+/// [`ColdError::Canceled`] from `next_trial` — makes the completed prefix
+/// durable and stops with [`ColdError::Canceled`].
+///
+/// # Errors
+/// Validation, rebuild and snapshot I/O errors, plus whatever
+/// `next_trial` returns.
+#[allow(clippy::too_many_arguments)]
+pub fn drive_campaign(
+    config: &ColdConfig,
+    master_seed: u64,
+    count: usize,
+    checkpoint_every: usize,
+    checkpoint_path: &Path,
+    resume: Option<CampaignCheckpoint>,
+    cancel: Option<&std::sync::atomic::AtomicBool>,
+    mut next_trial: impl FnMut(usize) -> Result<(u64, SynthesisResult), ColdError>,
     mut on_trial: impl FnMut(usize, &SynthesisResult),
 ) -> Result<Vec<SynthesisResult>, ColdError> {
     if checkpoint_every == 0 {
         return Err(ColdError::Checkpoint("checkpoint interval must be >= 1".into()));
     }
-    // One campaign span per invocation: trial spans (and their GA
-    // generations) nest under it in the trace tree.
-    let _span = cold_obs::span("core.campaign");
     config.validate()?;
     let mut records: Vec<TrialRecord> = match resume {
         None => Vec::new(),
@@ -519,77 +541,35 @@ pub fn run_campaign_controlled(
         on_trial(record.trial, &r);
         results.push(r);
     }
-    let save_snapshot = |records: &Vec<TrialRecord>, completed: usize| -> Result<(), ColdError> {
+    let save_snapshot = |records: &Vec<TrialRecord>| -> Result<(), ColdError> {
         let snapshot =
             CampaignCheckpoint { config: *config, master_seed, count, records: records.clone() };
         snapshot.save(checkpoint_path)?;
         if cold_obs::is_enabled() {
             cold_obs::emit(&cold_obs::Event::Checkpoint(cold_obs::CheckpointEvent {
                 path: checkpoint_path.display().to_string(),
-                completed,
+                completed: records.len(),
                 total: count,
             }));
         }
         Ok(())
     };
-    let canceled =
-        || control.cancel.is_some_and(|flag| flag.load(std::sync::atomic::Ordering::SeqCst));
     for i in results.len()..count {
-        if canceled() {
-            // Drain: make the completed prefix durable even when the
-            // cancel lands off the checkpoint cadence.
-            if !records.is_empty() {
-                save_snapshot(&records, results.len())?;
+        let outcome = match cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
+            true => Err(ColdError::Canceled { completed: i }),
+            false => next_trial(i),
+        };
+        let (seed, r) = match outcome {
+            Ok(trial) => trial,
+            Err(canceled @ ColdError::Canceled { .. }) => {
+                // Drain: make the completed prefix durable even when the
+                // cancel lands off the checkpoint cadence.
+                if !records.is_empty() {
+                    save_snapshot(&records)?;
+                }
+                return Err(canceled);
             }
-            return Err(ColdError::Canceled { completed: results.len() });
-        }
-        let attempts: usize = if control.retry_salted { 2 } else { 1 };
-        let mut trial_outcome: Option<(u64, SynthesisResult)> = None;
-        let mut last_err: Option<ColdError> = None;
-        for attempt in 1..=attempts {
-            let seed = if attempt == 1 {
-                derive_seed(master_seed, i as u64)
-            } else {
-                derive_seed(derive_seed(master_seed, RETRY_SALT), i as u64)
-            };
-            let outcome = match trial_deadline {
-                None => config.try_synthesize_progress(seed, control.progress.clone()),
-                Some(d) => {
-                    crate::synthesizer::run_with_deadline(config, seed, d, control.progress.clone())
-                }
-            };
-            match outcome {
-                Ok(r) => {
-                    trial_outcome = Some((seed, r));
-                    break;
-                }
-                Err(e) => {
-                    if cold_obs::is_enabled() {
-                        if let ColdError::DeadlineExceeded { seconds } = &e {
-                            cold_obs::emit(&cold_obs::Event::TrialDeadlineExceeded(
-                                cold_obs::TrialDeadlineExceeded {
-                                    trial: i,
-                                    attempt,
-                                    seed,
-                                    seconds: *seconds,
-                                },
-                            ));
-                        }
-                        if control.retry_salted {
-                            cold_obs::emit(&cold_obs::Event::TrialFailed(cold_obs::TrialFailed {
-                                trial: i,
-                                attempt,
-                                seed,
-                                error: e.to_string(),
-                            }));
-                        }
-                    }
-                    last_err = Some(e);
-                }
-            }
-        }
-        let Some((seed, r)) = trial_outcome else {
-            return Err(last_err.expect("a failed trial always records its error"));
+            Err(e) => return Err(e),
         };
         records.push(TrialRecord::from_result(i, seed, &r));
         let completed = i + 1;
@@ -597,7 +577,7 @@ pub fn run_campaign_controlled(
         // CLI's --halt-after does exactly that) still leaves the trial it
         // just observed recoverable on disk.
         if completed % checkpoint_every == 0 && completed < count {
-            save_snapshot(&records, completed)?;
+            save_snapshot(&records)?;
         }
         on_trial(i, &r);
         results.push(r);
@@ -608,6 +588,7 @@ pub fn run_campaign_controlled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cold_context::rng::derive_seed;
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -696,17 +677,38 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         // Uninterrupted reference.
-        let full = run_campaign(&cfg, 11, 4, 1, &path, None, None, |_, _| {}).expect("full run");
+        let full = run_campaign_controlled(
+            &cfg,
+            11,
+            4,
+            1,
+            &path,
+            None,
+            None,
+            CampaignControl::default(),
+            |_, _| {},
+        )
+        .expect("full run");
         let _ = std::fs::remove_file(&path);
 
         // First leg: simulate a crash by stopping after 2 trials via the
         // on_trial hook (panic caught here, as a kill would).
         let leg = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_campaign(&cfg, 11, 4, 1, &path, None, None, |i, _| {
-                if i == 1 {
-                    panic!("simulated crash after trial 1");
-                }
-            })
+            run_campaign_controlled(
+                &cfg,
+                11,
+                4,
+                1,
+                &path,
+                None,
+                None,
+                CampaignControl::default(),
+                |i, _| {
+                    if i == 1 {
+                        panic!("simulated crash after trial 1");
+                    }
+                },
+            )
         }));
         assert!(leg.is_err(), "first leg must die mid-campaign");
         let snapshot = CampaignCheckpoint::load(&path).expect("crash left a valid snapshot");
@@ -715,8 +717,18 @@ mod tests {
         assert_eq!(snapshot.records.len(), 2, "both completed trials checkpointed");
 
         // Second leg: resume and complete.
-        let resumed = run_campaign(&cfg, 11, 4, 1, &path, Some(snapshot), None, |_, _| {})
-            .expect("resumed run");
+        let resumed = run_campaign_controlled(
+            &cfg,
+            11,
+            4,
+            1,
+            &path,
+            Some(snapshot),
+            None,
+            CampaignControl::default(),
+            |_, _| {},
+        )
+        .expect("resumed run");
         assert_eq!(resumed.len(), full.len());
         for (a, b) in full.iter().zip(&resumed) {
             assert_same_deterministic_fields(a, b);
@@ -729,7 +741,18 @@ mod tests {
         let cfg = ColdConfig::quick(7, 1e-4, 10.0);
         let path = tmp_path("cadence");
         let _ = std::fs::remove_file(&path);
-        let results = run_campaign(&cfg, 3, 4, 2, &path, None, None, |_, _| {}).expect("run");
+        let results = run_campaign_controlled(
+            &cfg,
+            3,
+            4,
+            2,
+            &path,
+            None,
+            None,
+            CampaignControl::default(),
+            |_, _| {},
+        )
+        .expect("run");
         assert_eq!(results.len(), 4);
         // every=2, count=4: snapshot after trial 2 only (after trial 4 the
         // campaign is complete — nothing to resume).

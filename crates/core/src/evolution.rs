@@ -14,11 +14,11 @@
 //! setting: how much of the old network survives, and what the cost of
 //! organic growth is versus a green-field redesign.
 
-use crate::objective::ColdObjective;
+use crate::objective::{ColdObjective, PenalizedObjective, Penalty};
 use cold_context::rng::derive_seed;
 use cold_context::{Context, Point};
 use cold_cost::{CostParams, Network};
-use cold_ga::{GaSettings, GeneticAlgorithm, Objective, ObjectiveSession};
+use cold_ga::{GaSettings, GeneticAlgorithm};
 use cold_graph::AdjacencyMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -37,93 +37,46 @@ impl Default for EvolutionConfig {
     }
 }
 
-/// Objective for brown-field optimization: like COLD's, but legacy links
-/// pay only `legacy_cost_fraction` of their `k0`/`k1` components.
+/// The sunk-cost refund of reused legacy links, as a negative
+/// [`Penalty`]: every kept legacy link gives back
+/// `(1 − legacy_cost_fraction) · (k0 + k1·ℓ)` of its build-out cost.
 #[derive(Debug, Clone)]
-pub struct EvolutionObjective<'a> {
-    inner: ColdObjective<'a>,
+pub struct LegacyRefund {
     /// Legacy adjacency, embedded in the grown node set.
     legacy: AdjacencyMatrix,
+    params: CostParams,
     cfg: EvolutionConfig,
 }
 
-impl<'a> EvolutionObjective<'a> {
-    /// Creates the objective. `legacy` must have the same node count as
-    /// `ctx` (embed the old network into the grown PoP set first — new
-    /// PoPs simply have no legacy links).
-    pub fn new(
-        ctx: &'a Context,
-        params: CostParams,
-        legacy: AdjacencyMatrix,
-        cfg: EvolutionConfig,
-    ) -> Self {
-        assert_eq!(legacy.n(), ctx.n(), "legacy topology must be embedded in the grown context");
-        assert!(
-            (0.0..=1.0).contains(&cfg.legacy_cost_fraction),
-            "legacy cost fraction must be in [0, 1]"
-        );
-        Self { inner: ColdObjective::new(ctx, params), legacy, cfg }
-    }
-
-    /// The sunk-cost refund of reused legacy links — a pure function of
-    /// the topology, shared by the stateless and session paths so they
-    /// stay bit-identical.
-    fn refund(&self, topology: &AdjacencyMatrix) -> f64 {
-        let params = self.inner.params();
+impl Penalty for LegacyRefund {
+    fn penalty(&self, topology: &AdjacencyMatrix, distance: &dyn Fn(usize, usize) -> f64) -> f64 {
         let refund_rate = 1.0 - self.cfg.legacy_cost_fraction;
         let mut refund = 0.0;
         for (u, v) in self.legacy.edges() {
             if topology.has_edge(u, v) {
-                refund += refund_rate * (params.k0 + params.k1 * self.distance(u, v));
+                refund += refund_rate * (self.params.k0 + self.params.k1 * distance(u, v));
             }
         }
-        refund
+        -refund
     }
 }
 
-impl Objective for EvolutionObjective<'_> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-    fn distance(&self, u: usize, v: usize) -> f64 {
-        self.inner.distance(u, v)
-    }
-    fn cost(&self, topology: &AdjacencyMatrix) -> f64 {
-        // Refund the sunk share of build-out costs on reused legacy links.
-        self.inner.cost(topology) - self.refund(topology)
-    }
-
-    fn session(&self) -> Box<dyn ObjectiveSession + '_> {
-        // Delegate to the inner delta session and subtract the refund on
-        // top. Without this override the trait default wraps `cost()` in
-        // a stateless session, so every brown-field evaluation silently
-        // paid for full APSP routing.
-        Box::new(EvolutionSession { inner: self.inner.session(), outer: self })
-    }
-
-    fn k_nearest(&self, k: usize) -> Vec<Vec<usize>> {
-        self.inner.k_nearest(k)
-    }
-}
-
-/// Per-worker session: the inner objective's incremental evaluation minus
-/// the legacy refund, which is cheap (one pass over legacy edges) and
-/// recomputed per call. Bit-identical to [`EvolutionObjective::cost`].
-struct EvolutionSession<'a> {
-    inner: Box<dyn ObjectiveSession + 'a>,
-    outer: &'a EvolutionObjective<'a>,
-}
-
-impl ObjectiveSession for EvolutionSession<'_> {
-    fn cost(&mut self, topology: &AdjacencyMatrix, base: Option<&AdjacencyMatrix>) -> f64 {
-        self.inner.cost(topology, base) - self.outer.refund(topology)
-    }
-    fn delta_evals(&self) -> usize {
-        self.inner.delta_evals()
-    }
-    fn full_evals(&self) -> usize {
-        self.inner.full_evals()
-    }
+/// Objective for brown-field optimization: like COLD's, but legacy links
+/// pay only `legacy_cost_fraction` of their `k0`/`k1` components.
+/// `legacy` must have the same node count as `ctx` (embed the old network
+/// into the grown PoP set first — new PoPs simply have no legacy links).
+pub fn brownfield_objective(
+    ctx: &Context,
+    params: CostParams,
+    legacy: AdjacencyMatrix,
+    cfg: EvolutionConfig,
+) -> PenalizedObjective<ColdObjective<'_>, LegacyRefund> {
+    assert_eq!(legacy.n(), ctx.n(), "legacy topology must be embedded in the grown context");
+    assert!(
+        (0.0..=1.0).contains(&cfg.legacy_cost_fraction),
+        "legacy cost fraction must be in [0, 1]"
+    );
+    PenalizedObjective::new(ColdObjective::new(ctx, params), LegacyRefund { legacy, params, cfg })
 }
 
 /// Outcome of one evolution step.
@@ -191,12 +144,7 @@ pub fn evolve(
 ) -> EvolutionResult {
     let n_old = legacy_topology.n();
     let n = grown.n();
-    assert!(n >= n_old, "grown context must contain the legacy PoPs");
-    // Embed legacy links into the grown node set.
-    let mut legacy = AdjacencyMatrix::empty(n);
-    for (u, v) in legacy_topology.edges() {
-        legacy.set_edge(u, v, true);
-    }
+    let legacy = crate::evolve::embed_parent(legacy_topology, n);
     // Naive-growth seed: legacy + nearest-attach for new PoPs.
     let mut naive = legacy.clone();
     for v in n_old..n {
@@ -205,28 +153,18 @@ pub fn evolve(
             .expect("legacy network nonempty");
         naive.set_edge(v, closest, true);
     }
-    let objective = EvolutionObjective::new(grown, params, legacy.clone(), cfg);
+    let objective = brownfield_objective(grown, params, legacy.clone(), cfg);
     let engine =
         GeneticAlgorithm::new(&objective, GaSettings { seed: derive_seed(seed, 0xE7), ..ga });
     let result = engine.run_seeded(&[naive]);
-    let best = result.best.topology;
-    let mut kept = 0usize;
-    let mut retired = 0usize;
-    for (u, v) in legacy.edges() {
-        if best.has_edge(u, v) {
-            kept += 1;
-        } else {
-            retired += 1;
-        }
-    }
-    let built = best.edge_count() - kept;
-    let network = Network::build(best, grown, params).expect("GA output connected");
+    let rewired = crate::evolve::diff(&legacy, &result.best.topology, 0.0);
+    let network = Network::build(result.best.topology, grown, params).expect("GA output connected");
     EvolutionResult {
         network,
         brownfield_cost: result.best.cost,
-        links_kept: kept,
-        links_retired: retired,
-        links_built: built,
+        links_kept: rewired.kept,
+        links_retired: rewired.removed.len(),
+        links_built: rewired.added.len(),
     }
 }
 
@@ -234,6 +172,7 @@ pub fn evolve(
 mod tests {
     use super::*;
     use crate::ColdConfig;
+    use cold_ga::Objective;
 
     fn quick_setup(
         n0: usize,
@@ -280,7 +219,7 @@ mod tests {
     #[test]
     fn greenfield_fraction_one_matches_plain_objective() {
         let (cfg, _, legacy, grown) = quick_setup(8, 2, 4);
-        let obj = EvolutionObjective::new(
+        let obj = brownfield_objective(
             &grown,
             cfg.params,
             {
@@ -304,7 +243,7 @@ mod tests {
         for (u, v) in legacy.edges() {
             embedded.set_edge(u, v, true);
         }
-        let obj = EvolutionObjective::new(
+        let obj = brownfield_objective(
             &grown,
             cfg.params,
             embedded.clone(),
@@ -322,19 +261,15 @@ mod tests {
 
     #[test]
     fn brownfield_session_is_bit_identical_and_incremental() {
-        // Regression: `EvolutionObjective` used to inherit the stateless
+        // Regression: the brown-field objective used to inherit the stateless
         // default session, so brown-field GA runs did full APSP per eval.
         let (cfg, _, legacy, grown) = quick_setup(8, 2, 8);
         let mut embedded = AdjacencyMatrix::empty(10);
         for (u, v) in legacy.edges() {
             embedded.set_edge(u, v, true);
         }
-        let obj = EvolutionObjective::new(
-            &grown,
-            cfg.params,
-            embedded.clone(),
-            EvolutionConfig::default(),
-        );
+        let obj =
+            brownfield_objective(&grown, cfg.params, embedded.clone(), EvolutionConfig::default());
         let mut session = obj.session();
         let mut naive = embedded.clone();
         for v in 8..10 {

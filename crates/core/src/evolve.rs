@@ -7,8 +7,8 @@
 //! sequence of perturbations to a base [`ColdConfig`], and every step
 //! *warm-starts* the GA from the previous step's design (the paper's own
 //! operators perturb the parent chromosome instead of a random initial
-//! population — see `cold_ga::init::warm_population`). A
-//! [`ChangePenaltyObjective`] prices the rewiring itself, so the
+//! population — see `cold_ga::init::warm_population`). A [`Rewiring`]
+//! penalty prices the rewiring itself, so the
 //! optimizer trades design quality against operational churn exactly the
 //! way an operator would.
 //!
@@ -18,13 +18,9 @@
 //! byte-identical across runs and across serial/parallel GA settings.
 
 use crate::error::ColdError;
-use crate::objective::ColdObjective;
-use crate::stats::NetworkStats;
-use crate::synthesizer::{ColdConfig, ObserverFanout, ProgressSink, SynthesisResult};
+use crate::objective::Penalty;
+use crate::synthesizer::{ColdConfig, ProgressSink, RunControl, RunMode, SynthesisResult};
 use cold_context::rng::derive_seed;
-use cold_context::Context;
-use cold_cost::Network;
-use cold_ga::{GeneticAlgorithm, Objective, ObjectiveSession};
 use cold_graph::AdjacencyMatrix;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -122,82 +118,19 @@ pub fn change_penalty(
     penalty
 }
 
-/// An [`Objective`] overlay charging [`ChangeCosts`] for every link that
-/// differs from a parent design, on top of any inner objective.
-///
-/// Mirrors `ResilientObjective`: the `session()` override wraps the
-/// *inner* delta-evaluation session and adds the (cheap, pure) penalty
-/// per call, so warm runs keep incremental evaluation — without it every
-/// evaluation would silently pay for full APSP routing.
-#[derive(Debug, Clone)]
-pub struct ChangePenaltyObjective<O> {
-    inner: O,
-    parent: AdjacencyMatrix,
-    costs: ChangeCosts,
+/// The [`ChangeCosts`] rewiring penalty against a parent design, as a
+/// [`Penalty`] — what `RunMode::Warm` layers onto eq. (2).
+#[derive(Debug, Clone, Copy)]
+pub struct Rewiring<'a> {
+    /// The design changes are priced against.
+    pub parent: &'a AdjacencyMatrix,
+    /// The per-link prices.
+    pub costs: ChangeCosts,
 }
 
-impl<O: Objective> ChangePenaltyObjective<O> {
-    /// Wraps `inner`, pricing changes against `parent`.
-    ///
-    /// # Panics
-    /// Panics when the parent's node count differs from the objective's
-    /// or when any cost component is negative or non-finite.
-    pub fn new(inner: O, parent: AdjacencyMatrix, costs: ChangeCosts) -> Self {
-        assert_eq!(parent.n(), inner.n(), "parent must match the objective's node count");
-        if let Err(why) = costs.validate() {
-            panic!("{why}");
-        }
-        Self { inner, parent, costs }
-    }
-
-    /// The parent design changes are priced against.
-    pub fn parent(&self) -> &AdjacencyMatrix {
-        &self.parent
-    }
-
-    /// The rewiring penalty of `topology` alone (no inner cost).
-    pub fn penalty(&self, topology: &AdjacencyMatrix) -> f64 {
-        change_penalty(&self.parent, topology, &self.costs, |u, v| self.inner.distance(u, v))
-    }
-}
-
-impl<O: Objective> Objective for ChangePenaltyObjective<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-    fn distance(&self, u: usize, v: usize) -> f64 {
-        self.inner.distance(u, v)
-    }
-    fn cost(&self, topology: &AdjacencyMatrix) -> f64 {
-        self.inner.cost(topology) + self.penalty(topology)
-    }
-
-    fn session(&self) -> Box<dyn ObjectiveSession + '_> {
-        Box::new(ChangePenaltySession { inner: self.inner.session(), outer: self })
-    }
-
-    fn k_nearest(&self, k: usize) -> Vec<Vec<usize>> {
-        self.inner.k_nearest(k)
-    }
-}
-
-/// Per-worker session: the inner objective's incremental evaluation plus
-/// the change penalty, recomputed per call as a pure function of the
-/// topology — bit-identical to [`ChangePenaltyObjective::cost`].
-struct ChangePenaltySession<'a, O: Objective> {
-    inner: Box<dyn ObjectiveSession + 'a>,
-    outer: &'a ChangePenaltyObjective<O>,
-}
-
-impl<O: Objective> ObjectiveSession for ChangePenaltySession<'_, O> {
-    fn cost(&mut self, topology: &AdjacencyMatrix, base: Option<&AdjacencyMatrix>) -> f64 {
-        self.inner.cost(topology, base) + self.outer.penalty(topology)
-    }
-    fn delta_evals(&self) -> usize {
-        self.inner.delta_evals()
-    }
-    fn full_evals(&self) -> usize {
-        self.inner.full_evals()
+impl Penalty for Rewiring<'_> {
+    fn penalty(&self, topology: &AdjacencyMatrix, distance: &dyn Fn(usize, usize) -> f64) -> f64 {
+        change_penalty(self.parent, topology, &self.costs, distance)
     }
 }
 
@@ -462,101 +395,11 @@ impl TopologySchedule {
     }
 }
 
-/// Warm-started synthesis in an explicit context: like
-/// `ColdConfig::try_synthesize_in_context`, but the GA population starts
-/// from `parent` plus mutation perturbations instead of MST/clique/random
-/// init, and the objective charges `costs` for rewiring against the
-/// parent. The GA stream is `derive_seed(seed, WARM_SALT)`, disjoint
-/// from every cold-path salt.
-///
-/// `checkpoint`/`resume` give warm runs the same crash-safety hooks as
-/// cold ones — warm seeds ride checkpoint frames automatically because
-/// population snapshots carry the whole population.
+/// Warm-started synthesis of the standard context for `seed`:
+/// [`ColdConfig::try_run`] in `RunMode::Warm`.
 ///
 /// # Errors
-/// [`ColdError::Config`] for invalid settings (including a parent whose
-/// node count does not match the context) and [`ColdError::Ga`] for
-/// engine failures.
-#[allow(clippy::too_many_arguments)] // mirrors try_synthesize_resumable's surface
-pub fn try_synthesize_warm_in_context(
-    config: &ColdConfig,
-    ctx: Context,
-    parent: &AdjacencyMatrix,
-    costs: ChangeCosts,
-    seed: u64,
-    progress: Option<ProgressSink>,
-    checkpoint: Option<cold_ga::CheckpointHook<'_>>,
-    resume: Option<cold_ga::GaCheckpoint>,
-) -> Result<SynthesisResult, ColdError> {
-    config.validate()?;
-    costs.validate().map_err(ColdError::Config)?;
-    if parent.n() != ctx.n() {
-        return Err(ColdError::Config(format!(
-            "warm-start parent has {} nodes, context has {}",
-            parent.n(),
-            ctx.n()
-        )));
-    }
-    let _span = cold_obs::span("core.synthesize_warm");
-    let traced = cold_obs::is_enabled();
-    if traced {
-        cold_obs::emit(&cold_obs::Event::RunStart(cold_obs::RunStart {
-            run: cold_obs::run_id(seed),
-            n: ctx.n(),
-            mode: "Warm".into(),
-            generations: config.ga.generations,
-            population: config.ga.population,
-        }));
-    }
-    let objective =
-        ChangePenaltyObjective::new(ColdObjective::new(&ctx, config.params), parent.clone(), costs);
-    let ga_settings = cold_ga::GaSettings { seed: derive_seed(seed, WARM_SALT), ..config.ga };
-    let engine = GeneticAlgorithm::try_new(&objective, ga_settings)?;
-    let mut observer =
-        ObserverFanout::new(traced.then(|| cold_obs::TraceObserver::new(seed)), progress);
-    let result = if observer.is_active() {
-        engine.run_warm(parent, Some(&mut observer), checkpoint, resume)?
-    } else {
-        engine.run_warm(parent, None, checkpoint, resume)?
-    };
-    if traced {
-        cold_obs::emit(&cold_obs::Event::RunEnd(cold_obs::RunEnd {
-            run: cold_obs::run_id(seed),
-            generations_run: result.generations_run,
-            best_cost: result.best.cost,
-            evaluations: result.evaluations,
-            cache_hit_rate: result.eval_stats.hit_rate(),
-            eval_seconds: result.eval_stats.eval_seconds,
-            repair_rate: result.repair_stats.repair_rate(),
-        }));
-    }
-    let network = Network::build(result.best.topology.clone(), &ctx, config.params)
-        .expect("GA result is connected");
-    let stats = NetworkStats::compute(&network.graph()).expect("connected");
-    Ok(SynthesisResult {
-        journal_path: cold_obs::journal_path(),
-        context: ctx,
-        network,
-        stats,
-        best_cost_history: result.history,
-        final_population_costs: result.final_population.iter().map(|i| i.cost).collect(),
-        heuristic_costs: Vec::new(),
-        evaluations: result.evaluations,
-        eval_stats: result.eval_stats,
-        repair_rate: result.repair_stats.repair_rate(),
-        generations_run: result.generations_run,
-        stop_reason: result.stop_reason,
-    })
-}
-
-/// Warm-started synthesis with the standard context derivation: the
-/// context is generated from `derive_seed(seed, 0xC0)` exactly as the
-/// cold path does, so a warm job and a cold job with the same `(config,
-/// seed)` optimize the *same* context — only the starting population and
-/// the change penalty differ. This is `cold-serve`'s evolve-job entry.
-///
-/// # Errors
-/// As [`try_synthesize_warm_in_context`].
+/// As [`ColdConfig::try_run`].
 pub fn try_synthesize_warm(
     config: &ColdConfig,
     parent: &AdjacencyMatrix,
@@ -566,9 +409,8 @@ pub fn try_synthesize_warm(
     checkpoint: Option<cold_ga::CheckpointHook<'_>>,
     resume: Option<cold_ga::GaCheckpoint>,
 ) -> Result<SynthesisResult, ColdError> {
-    config.validate()?;
-    let ctx = config.context.generate(derive_seed(seed, 0xC0));
-    try_synthesize_warm_in_context(config, ctx, parent, costs, seed, progress, checkpoint, resume)
+    let control = RunControl { progress, checkpoint, resume };
+    config.try_run(seed, None, RunMode::Warm { parent, costs }, control)
 }
 
 /// Embeds `parent` (defined on the first `parent.n()` PoPs) into a
@@ -590,7 +432,11 @@ pub fn embed_parent(parent: &AdjacencyMatrix, n: usize) -> AdjacencyMatrix {
     m
 }
 
-fn diff(parent: &AdjacencyMatrix, child: &AdjacencyMatrix, penalty: f64) -> RewiringDiff {
+pub(crate) fn diff(
+    parent: &AdjacencyMatrix,
+    child: &AdjacencyMatrix,
+    penalty: f64,
+) -> RewiringDiff {
     let mut added = Vec::new();
     let mut removed = Vec::new();
     let mut kept = 0usize;
@@ -638,50 +484,44 @@ fn schedule_step(
 
 /// Runs an evolution plan: a cold base synthesis, then one warm-started
 /// re-synthesis per perturbation, emitting an `evolution_step` journal
-/// event per step when telemetry is active.
+/// event per step when telemetry is active. The optional live
+/// per-generation [`ProgressSink`] is shared by every step's GA run.
 ///
 /// # Errors
 /// [`ColdError::Config`] for an invalid plan, plus anything the
 /// underlying syntheses return.
-pub fn run_plan(plan: &EvolutionPlan) -> Result<TopologySchedule, ColdError> {
-    run_plan_progress(plan, None)
-}
-
-/// [`run_plan`] with an optional live per-generation [`ProgressSink`]
-/// shared by every step's GA run.
-///
-/// # Errors
-/// As [`run_plan`].
-pub fn run_plan_progress(
+pub fn run_plan(
     plan: &EvolutionPlan,
     progress: Option<ProgressSink>,
 ) -> Result<TopologySchedule, ColdError> {
     plan.validate()?;
     let _span = cold_obs::span("core.evolve");
-    let traced = cold_obs::is_enabled();
-    let run = cold_obs::run_id(plan.seed);
+    let mut steps = Vec::with_capacity(plan.steps.len() + 1);
+    let mut record = |kind: &str, result: &SynthesisResult, diff: RewiringDiff| {
+        let entry = schedule_step(steps.len(), kind, result, diff, !steps.is_empty());
+        if cold_obs::is_enabled() {
+            cold_obs::emit(&cold_obs::Event::EvolutionStep(cold_obs::EvolutionStep {
+                run: cold_obs::run_id(plan.seed),
+                step: entry.step,
+                kind: kind.into(),
+                n: entry.n,
+                best_cost: entry.convergence.best_cost,
+                generations: result.generations_run,
+            }));
+        }
+        steps.push(entry);
+    };
     // Step 0: the cold base synthesis.
-    let base = plan.base.try_synthesize_progress(plan.seed, progress.clone())?;
-    let n0 = base.context.n();
-    let base_diff =
+    let control = || RunControl { progress: progress.clone(), ..RunControl::default() };
+    let base = plan.base.try_run(plan.seed, None, RunMode::Standard, control())?;
+    let no_rewiring =
         RewiringDiff { added: Vec::new(), removed: Vec::new(), kept: 0, change_penalty: 0.0 };
-    let mut steps = vec![schedule_step(0, "base", &base, base_diff, false)];
-    if traced {
-        cold_obs::emit(&cold_obs::Event::EvolutionStep(cold_obs::EvolutionStep {
-            run: run.clone(),
-            step: 0,
-            kind: "base".into(),
-            n: n0,
-            best_cost: steps[0].convergence.best_cost,
-            generations: base.generations_run,
-        }));
-    }
+    record("base", &base, no_rewiring);
     let mut config = plan.base;
     let mut ctx = base.context;
     let mut parent = base.network.topology;
     for (i, step) in plan.steps.iter().enumerate() {
-        let idx = i + 1;
-        let step_seed = derive_seed(plan.seed, idx as u64);
+        let step_seed = derive_seed(plan.seed, i as u64 + 1);
         match step {
             PlanStep::AddPop { count } => {
                 ctx = crate::evolution::grow_context(&ctx, &config.context, *count, step_seed);
@@ -706,35 +546,15 @@ pub fn run_plan_progress(
             }
         }
         let embedded = embed_parent(&parent, ctx.n());
-        let result = try_synthesize_warm_in_context(
-            &config,
-            ctx.clone(),
-            &embedded,
-            plan.change_costs,
-            step_seed,
-            progress.clone(),
-            None,
-            None,
-        )?;
+        let warm = RunMode::Warm { parent: &embedded, costs: plan.change_costs };
+        let result = config.try_run(step_seed, Some(ctx), warm, control())?;
         let penalty =
             change_penalty(&embedded, &result.network.topology, &plan.change_costs, |u, v| {
-                ctx.distance(u, v)
+                result.context.distance(u, v)
             });
-        let d = diff(&embedded, &result.network.topology, penalty);
-        let entry = schedule_step(idx, step.kind(), &result, d, true);
-        if traced {
-            cold_obs::emit(&cold_obs::Event::EvolutionStep(cold_obs::EvolutionStep {
-                run: run.clone(),
-                step: idx,
-                kind: step.kind().into(),
-                n: ctx.n(),
-                best_cost: entry.convergence.best_cost,
-                generations: result.generations_run,
-            }));
-        }
-        parent = result.network.topology.clone();
+        record(step.kind(), &result, diff(&embedded, &result.network.topology, penalty));
+        parent = result.network.topology;
         ctx = result.context;
-        steps.push(entry);
     }
     Ok(TopologySchedule { seed: plan.seed, change_costs: plan.change_costs, steps })
 }
@@ -742,7 +562,8 @@ pub fn run_plan_progress(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ColdConfig;
+    use crate::{ColdConfig, ColdObjective, PenalizedObjective};
+    use cold_ga::Objective;
 
     fn quick_plan(n: usize, seed: u64) -> EvolutionPlan {
         EvolutionPlan {
@@ -762,12 +583,13 @@ mod tests {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let ctx = cfg.context.generate(1);
         let parent = cold_graph::mst::mst_matrix(8, ctx.distance_fn());
-        let obj = ChangePenaltyObjective::new(
+        let costs = ChangeCosts::uniform(5.0);
+        let obj = PenalizedObjective::new(
             ColdObjective::new(&ctx, cfg.params),
-            parent.clone(),
-            ChangeCosts::uniform(5.0),
+            Rewiring { parent: &parent, costs },
         );
-        assert_eq!(obj.penalty(&parent), 0.0);
+        let penalty = |t: &AdjacencyMatrix| change_penalty(&parent, t, &costs, ctx.distance_fn());
+        assert_eq!(penalty(&parent), 0.0);
         // Add one link the MST does not have: penalty = one add_cost, and
         // the topology stays connected so the inner cost is defined.
         let (u, v) = (0..8)
@@ -776,7 +598,7 @@ mod tests {
             .expect("a tree on 8 nodes is not complete");
         let mut child = parent.clone();
         child.set_edge(u, v, true);
-        assert!((obj.penalty(&child) - 5.0).abs() < 1e-12);
+        assert!((penalty(&child) - 5.0).abs() < 1e-12);
         let plain = ColdObjective::new(&ctx, cfg.params);
         assert!((obj.cost(&child) - (plain.cost(&child) + 5.0)).abs() < 1e-9);
     }
@@ -787,10 +609,9 @@ mod tests {
         let ctx = cfg.context.generate(2);
         let parent = cold_graph::mst::mst_matrix(6, ctx.distance_fn());
         let costs = ChangeCosts { add_cost: 1.0, remove_cost: 0.0, length_weight: 2.0 };
-        let obj = ChangePenaltyObjective::new(
+        let obj = PenalizedObjective::new(
             ColdObjective::new(&ctx, cfg.params),
-            parent.clone(),
-            costs,
+            Rewiring { parent: &parent, costs },
         );
         let (u, v) = (0..6)
             .flat_map(|u| (u + 1..6).map(move |v| (u, v)))
@@ -799,7 +620,8 @@ mod tests {
         let mut child = parent.clone();
         child.set_edge(u, v, true);
         let expected = 1.0 + 2.0 * ctx.distance(u, v);
-        assert!((obj.penalty(&child) - expected).abs() < 1e-9);
+        let plain = ColdObjective::new(&ctx, cfg.params);
+        assert!((obj.cost(&child) - plain.cost(&child) - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -807,10 +629,12 @@ mod tests {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let ctx = cfg.context.generate(3);
         let parent = cold_graph::mst::mst_matrix(8, ctx.distance_fn());
-        let obj = ChangePenaltyObjective::new(
+        let obj = PenalizedObjective::new(
             ColdObjective::new(&ctx, cfg.params),
-            parent.clone(),
-            ChangeCosts { add_cost: 3.0, remove_cost: 7.0, length_weight: 0.5 },
+            Rewiring {
+                parent: &parent,
+                costs: ChangeCosts { add_cost: 3.0, remove_cost: 7.0, length_weight: 0.5 },
+            },
         );
         let mut session = obj.session();
         assert_eq!(session.cost(&parent, None), obj.cost(&parent));
@@ -832,17 +656,8 @@ mod tests {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let ctx = cfg.context.generate(4);
         let parent = cold_graph::mst::mst_matrix(8, ctx.distance_fn());
-        let r = try_synthesize_warm_in_context(
-            &cfg,
-            ctx,
-            &parent,
-            ChangeCosts::uniform(1.0),
-            9,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let warm = RunMode::Warm { parent: &parent, costs: ChangeCosts::uniform(1.0) };
+        let r = cfg.try_run(9, Some(ctx), warm, RunControl::default()).unwrap();
         assert!(
             r.eval_stats.delta_evals > 0,
             "warm run performed no delta evals: {:?}",
@@ -907,7 +722,7 @@ mod tests {
     #[test]
     fn run_plan_produces_a_coherent_schedule() {
         let plan = quick_plan(9, 5);
-        let schedule = run_plan(&plan).unwrap();
+        let schedule = run_plan(&plan, None).unwrap();
         assert_eq!(schedule.steps.len(), 4);
         assert_eq!(schedule.steps[0].kind, "base");
         assert!(!schedule.steps[0].convergence.warm);
@@ -932,16 +747,16 @@ mod tests {
     #[test]
     fn schedules_are_byte_identical_and_parallel_invariant() {
         let plan = quick_plan(8, 13);
-        let a = run_plan(&plan).unwrap().to_json();
-        let b = run_plan(&plan).unwrap().to_json();
+        let a = run_plan(&plan, None).unwrap().to_json();
+        let b = run_plan(&plan, None).unwrap().to_json();
         assert_eq!(a, b, "same plan + seed must reproduce the schedule byte-for-byte");
         let mut parallel = plan.clone();
         parallel.base.ga.parallel = !plan.base.ga.parallel;
-        let c = run_plan(&parallel).unwrap().to_json();
+        let c = run_plan(&parallel, None).unwrap().to_json();
         assert_eq!(a, c, "serial and parallel evaluation must agree bit-for-bit");
         let mut other = plan.clone();
         other.seed = 14;
-        let d = run_plan(&other).unwrap().to_json();
+        let d = run_plan(&other, None).unwrap().to_json();
         assert_ne!(a, d, "a different seed must change the schedule");
     }
 
@@ -953,7 +768,7 @@ mod tests {
             change_costs: ChangeCosts::uniform(0.5),
             steps: vec![PlanStep::ScaleTraffic { factor: 2.0 }],
         };
-        let schedule = run_plan(&plan).unwrap();
+        let schedule = run_plan(&plan, None).unwrap();
         let back = TopologySchedule::from_json(&schedule.to_json()).unwrap();
         assert_eq!(back, schedule);
     }

@@ -36,8 +36,11 @@
 //!
 //! ## Module map
 //!
-//! - [`synthesizer`] — the top-level API: config → synthesized network(s).
-//! - [`objective`] — the COLD cost function as a GA [`cold_ga::Objective`].
+//! - [`synthesizer`] — the top-level API: config → synthesized network(s),
+//!   through the one run pipeline [`ColdConfig::try_run`] (see DESIGN.md
+//!   "Run path").
+//! - [`objective`] — the COLD cost function as a GA [`cold_ga::Objective`],
+//!   plus the [`Penalty`] overlay every extra cost term rides on.
 //! - [`stats`] — the §6 statistics bundle for a topology.
 //! - [`report`] — Markdown ensemble reports (stats + CIs + costs +
 //!   survivability).
@@ -96,25 +99,23 @@ pub mod synthesizer;
 pub mod zoo;
 
 pub use checkpoint::{
-    run_campaign, run_campaign_controlled, CampaignCheckpoint, CampaignControl, TrialRecord,
+    drive_campaign, run_campaign_controlled, CampaignCheckpoint, CampaignControl, TrialRecord,
 };
 pub use cold_ga::StopReason;
 pub use error::ColdError;
 pub use evolve::{
-    change_penalty, embed_parent, run_plan, run_plan_progress, try_synthesize_warm,
-    try_synthesize_warm_in_context, ChangeCosts, ChangePenaltyObjective, EvolutionPlan, PlanStep,
-    RewiringDiff, ScheduleStep, StepConvergence, TopologySchedule, WARM_SALT,
+    change_penalty, embed_parent, run_plan, try_synthesize_warm, ChangeCosts, EvolutionPlan,
+    PlanStep, Rewiring, RewiringDiff, ScheduleStep, StepConvergence, TopologySchedule, WARM_SALT,
 };
 pub use fingerprint::{canonical_json, fingerprint_hex, job_fingerprint, value_fingerprint};
-pub use objective::ColdObjective;
+pub use objective::{ColdObjective, PenalizedObjective, Penalty};
 pub use pareto::{
-    try_synthesize_pareto, try_synthesize_pareto_in_context, ColdMultiObjective, ParetoFrontMember,
-    ParetoSynthesisResult,
+    try_synthesize_pareto_in_context, ColdMultiObjective, ParetoFrontMember, ParetoSynthesisResult,
 };
 pub use stats::NetworkStats;
 pub use synthesizer::{
-    join_abandoned_watchdog_threads, ColdConfig, EnsembleOutcome, ProgressSink, SynthesisMode,
-    SynthesisResult, TrialFailure, TrialRunner, RETRY_SALT,
+    join_abandoned_watchdog_threads, trial_seed, ColdConfig, EnsembleOutcome, ProgressSink,
+    RunControl, RunMode, SynthesisMode, SynthesisResult, TrialFailure, TrialRunner, RETRY_SALT,
 };
 
 // Re-export the component crates so `cold` is a one-stop dependency.

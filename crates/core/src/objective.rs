@@ -87,6 +87,81 @@ impl ObjectiveSession for DeltaSession<'_> {
     }
 }
 
+/// An additive cost term layered on top of an inner objective — §2's
+/// "it is generally easy to add additional costs or constraints to the
+/// model". Implementations are pure functions of the topology (plus the
+/// inner objective's link lengths), which is what keeps a
+/// [`PenalizedObjective`]'s incremental session bit-identical to its
+/// stateless [`Objective::cost`].
+pub trait Penalty: Sync {
+    /// The term added to the inner cost of `topology`; `distance` is the
+    /// inner objective's link length. May be negative (a refund).
+    fn penalty(&self, topology: &AdjacencyMatrix, distance: &dyn Fn(usize, usize) -> f64) -> f64;
+}
+
+/// The one objective overlay: `inner cost + penalty`.
+///
+/// The `session()` override wraps the *inner* delta-evaluation session and
+/// adds the (cheap, pure) penalty per call, so penalized runs keep
+/// incremental evaluation — without it every evaluation would silently pay
+/// for full APSP routing.
+#[derive(Debug, Clone)]
+pub struct PenalizedObjective<O, P> {
+    inner: O,
+    penalty: P,
+}
+
+impl<O: Objective, P: Penalty> PenalizedObjective<O, P> {
+    /// Layers `penalty` on top of `inner`.
+    pub fn new(inner: O, penalty: P) -> Self {
+        Self { inner, penalty }
+    }
+
+    fn penalty_of(&self, topology: &AdjacencyMatrix) -> f64 {
+        self.penalty.penalty(topology, &|u, v| self.inner.distance(u, v))
+    }
+}
+
+impl<O: Objective, P: Penalty> Objective for PenalizedObjective<O, P> {
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+    fn distance(&self, u: usize, v: usize) -> f64 {
+        self.inner.distance(u, v)
+    }
+    fn cost(&self, topology: &AdjacencyMatrix) -> f64 {
+        self.inner.cost(topology) + self.penalty_of(topology)
+    }
+
+    fn session(&self) -> Box<dyn ObjectiveSession + '_> {
+        Box::new(PenalizedSession { inner: self.inner.session(), outer: self })
+    }
+
+    fn k_nearest(&self, k: usize) -> Vec<Vec<usize>> {
+        self.inner.k_nearest(k)
+    }
+}
+
+/// Per-worker session: the inner objective's incremental evaluation plus
+/// the penalty, recomputed per call — bit-identical to
+/// [`PenalizedObjective::cost`].
+struct PenalizedSession<'a, O, P> {
+    inner: Box<dyn ObjectiveSession + 'a>,
+    outer: &'a PenalizedObjective<O, P>,
+}
+
+impl<O: Objective, P: Penalty> ObjectiveSession for PenalizedSession<'_, O, P> {
+    fn cost(&mut self, topology: &AdjacencyMatrix, base: Option<&AdjacencyMatrix>) -> f64 {
+        self.inner.cost(topology, base) + self.outer.penalty_of(topology)
+    }
+    fn delta_evals(&self) -> usize {
+        self.inner.delta_evals()
+    }
+    fn full_evals(&self) -> usize {
+        self.inner.full_evals()
+    }
+}
+
 /// The same objective also drives the simulated-annealing baseline
 /// ([`cold_heuristics::annealing`]) so GA-vs-SA comparisons are
 /// apples-to-apples.

@@ -24,14 +24,12 @@
 use crate::error::ColdError;
 use crate::failure::{single_link_failures, FailureReport};
 use crate::objective::ColdObjective;
-use crate::synthesizer::{ColdConfig, ProgressSink, SynthesisMode};
-use cold_context::rng::derive_seed;
+use crate::synthesizer::{ColdConfig, ProgressSink, RunTelemetry};
 use cold_context::Context;
 use cold_cost::{CostParams, Network};
 use cold_ga::pareto::{MultiObjective, MultiObjectiveSession};
-use cold_ga::{GaSettings, Objective, ObjectiveSession};
+use cold_ga::{Objective, ObjectiveSession};
 use cold_graph::AdjacencyMatrix;
-use cold_heuristics::all_heuristics;
 
 /// Weight of the capped overload term in the failure-impact objective,
 /// relative to the stranded-traffic fraction (which dominates: losing
@@ -203,24 +201,12 @@ impl ParetoSynthesisResult {
 /// Default bound on the Pareto archive carried across generations.
 pub const DEFAULT_ARCHIVE_CAPACITY: usize = 32;
 
-/// Multi-objective synthesis: generates the context for `seed`, then runs
-/// NSGA-II over [`ColdMultiObjective`].
-///
-/// # Errors
-/// [`ColdError::Config`] for invalid configuration, [`ColdError::Ga`] for
-/// engine failures (non-finite objective components, bad settings).
-pub fn try_synthesize_pareto(
-    cfg: &ColdConfig,
-    seed: u64,
-    archive_capacity: usize,
-) -> Result<ParetoSynthesisResult, ColdError> {
-    cfg.validate()?;
-    let ctx = cfg.context.generate(derive_seed(seed, 0xC0));
-    try_synthesize_pareto_in_context(cfg, ctx, seed, archive_capacity, None)
-}
-
-/// [`try_synthesize_pareto`] within an explicit context, with an optional
-/// live per-generation [`ProgressSink`] — the serve layer's entry point.
+/// Multi-objective synthesis within `ctx` (usually
+/// [`ColdConfig::context_for`]`(seed)`): NSGA-II over
+/// [`ColdMultiObjective`], with an optional live per-generation
+/// [`ProgressSink`]. It shares the scalar pipeline's stages —
+/// validation, heuristic seeding, GA stream and telemetry — and differs
+/// only in its engine and result type.
 ///
 /// Telemetry mirrors scalar synthesis: a `run_start` event (mode
 /// `"Pareto"`), one `generation` event per generation whose
@@ -228,7 +214,8 @@ pub fn try_synthesize_pareto(
 /// summary reporting the cheapest front member as `best_cost`.
 ///
 /// # Errors
-/// As [`try_synthesize_pareto`].
+/// [`ColdError::Config`] for invalid configuration, [`ColdError::Ga`] for
+/// engine failures (non-finite objective components, bad settings).
 pub fn try_synthesize_pareto_in_context(
     cfg: &ColdConfig,
     ctx: Context,
@@ -236,43 +223,14 @@ pub fn try_synthesize_pareto_in_context(
     archive_capacity: usize,
     progress: Option<ProgressSink>,
 ) -> Result<ParetoSynthesisResult, ColdError> {
+    let ctx = cfg.prepare(seed, Some(ctx))?;
     let _span = cold_obs::span("core.synthesize_pareto");
-    let traced = cold_obs::is_enabled();
-    if traced {
-        cold_obs::emit(&cold_obs::Event::RunStart(cold_obs::RunStart {
-            run: cold_obs::run_id(seed),
-            n: ctx.n(),
-            mode: "Pareto".into(),
-            generations: cfg.ga.generations,
-            population: cfg.ga.population,
-        }));
-    }
+    let mut telemetry = RunTelemetry::open(cfg, seed, ctx.n(), "Pareto".into(), progress);
     let objective = ColdMultiObjective::new(&ctx, cfg.params);
-    let seeds: Vec<AdjacencyMatrix> = match cfg.mode {
-        SynthesisMode::GaOnly => Vec::new(),
-        SynthesisMode::Initialized => {
-            let _t = cold_obs::timer("core.heuristic_seed");
-            all_heuristics(
-                objective.inner.evaluator(),
-                &cfg.random_greedy,
-                derive_seed(seed, 0x4755),
-            )
-            .into_iter()
-            .map(|(_, r)| r.topology)
-            .collect()
-        }
-    };
-    let ga_settings = GaSettings { seed: derive_seed(seed, 0x6741), ..cfg.ga };
-    let engine = cold_ga::pareto::ParetoGa::try_new(&objective, ga_settings, archive_capacity)?;
-    let mut observer = crate::synthesizer::ObserverFanout::new(
-        traced.then(|| cold_obs::TraceObserver::new(seed)),
-        progress,
-    );
-    let result = if observer.is_active() {
-        engine.try_run_traced(&seeds, Some(&mut observer))?
-    } else {
-        engine.try_run_traced(&seeds, None)?
-    };
+    let settings = cfg.ga_settings(seed, 0x6741);
+    let engine = cold_ga::pareto::ParetoGa::try_new(&objective, settings, archive_capacity)?;
+    let (seeds, _) = cfg.heuristic_seeds(&objective.inner, seed);
+    let result = engine.try_run_traced(&seeds, telemetry.slot())?;
     let front: Vec<ParetoFrontMember> = result
         .front
         .iter()
@@ -282,17 +240,14 @@ pub fn try_synthesize_pareto_in_context(
             ParetoFrontMember { network, objectives: p.objectives.clone() }
         })
         .collect();
-    if traced {
-        cold_obs::emit(&cold_obs::Event::RunEnd(cold_obs::RunEnd {
-            run: cold_obs::run_id(seed),
-            generations_run: result.generations_run,
-            best_cost: front.iter().map(|m| m.objectives[0]).fold(f64::INFINITY, f64::min),
-            evaluations: result.evaluations,
-            cache_hit_rate: result.eval_stats.hit_rate(),
-            eval_seconds: result.eval_stats.eval_seconds,
-            repair_rate: result.repair_stats.repair_rate(),
-        }));
-    }
+    telemetry.close(
+        result.generations_run,
+        front.iter().map(|m| m.objectives[0]).fold(f64::INFINITY, f64::min),
+        result.evaluations,
+        &result.eval_stats,
+        result.repair_stats.repair_rate(),
+        result.stop_reason,
+    );
     Ok(ParetoSynthesisResult {
         journal_path: cold_obs::journal_path(),
         context: ctx,
@@ -310,6 +265,14 @@ pub fn try_synthesize_pareto_in_context(
 mod tests {
     use super::*;
     use cold_ga::pareto::dominates;
+
+    fn try_synthesize_pareto(
+        cfg: &ColdConfig,
+        seed: u64,
+        capacity: usize,
+    ) -> Result<ParetoSynthesisResult, ColdError> {
+        try_synthesize_pareto_in_context(cfg, cfg.context_for(seed), seed, capacity, None)
+    }
 
     fn quick_cfg(n: usize) -> ColdConfig {
         let mut cfg = ColdConfig::quick(n, 4e-4, 10.0);

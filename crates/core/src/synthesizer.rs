@@ -7,23 +7,67 @@
 //! function of `(config, seed)`.
 
 use crate::error::{panic_message, ColdError};
-use crate::objective::ColdObjective;
+use crate::evolve::{ChangeCosts, Rewiring, WARM_SALT};
+use crate::objective::{ColdObjective, PenalizedObjective};
+use crate::resilience::BridgeCost;
 use crate::stats::NetworkStats;
 use cold_context::rng::derive_seed;
 use cold_context::{Context, ContextConfig};
 use cold_cost::{CostParams, Network};
-use cold_ga::{GaSettings, GeneticAlgorithm};
+use cold_ga::{GaSettings, GeneticAlgorithm, Objective};
+use cold_graph::AdjacencyMatrix;
 use cold_heuristics::{all_heuristics, RandomGreedyConfig};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Salt mixed into the master seed for one-shot retries of failed trials,
 /// so the retry runs a fresh (but still deterministic) random stream
-/// instead of replaying the exact failure. Public so the retry-seed
-/// soundness test can pin the derivation
-/// `derive_seed(derive_seed(master, RETRY_SALT), trial)` against the
-/// original trial seeds.
+/// instead of replaying the exact failure. See [`trial_seed`].
 pub const RETRY_SALT: u64 = 0x5245_5452; // "RETR"
+
+/// The seed attempt `attempt` (1-based) of campaign trial `trial` runs
+/// with: `derive_seed(master, trial)` first, then the salted
+/// `derive_seed(derive_seed(master, RETRY_SALT), trial)` for every retry.
+/// The one trial-attempt policy shared by ensembles, campaigns and the
+/// distributed coordinator.
+pub fn trial_seed(master: u64, trial: usize, attempt: usize) -> u64 {
+    if attempt <= 1 {
+        derive_seed(master, trial as u64)
+    } else {
+        derive_seed(derive_seed(master, RETRY_SALT), trial as u64)
+    }
+}
+
+/// Journals one failed trial attempt: `trial_deadline_exceeded` for a
+/// watchdog overrun, then `trial_failed` when `retried` (the attempt
+/// belongs to a runner with a retry policy).
+pub(crate) fn journal_failed_attempt(
+    trial: usize,
+    attempt: usize,
+    seed: u64,
+    error: &ColdError,
+    retried: bool,
+) {
+    if !cold_obs::is_enabled() {
+        return;
+    }
+    if let ColdError::DeadlineExceeded { seconds } = error {
+        cold_obs::emit(&cold_obs::Event::TrialDeadlineExceeded(cold_obs::TrialDeadlineExceeded {
+            trial,
+            attempt,
+            seed,
+            seconds: *seconds,
+        }));
+    }
+    if retried {
+        cold_obs::emit(&cold_obs::Event::TrialFailed(cold_obs::TrialFailed {
+            trial,
+            attempt,
+            seed,
+            error: error.to_string(),
+        }));
+    }
+}
 
 /// How long the `trial.hang` fault sleeps, in milliseconds. Long enough
 /// to overrun any test deadline by a wide margin, short enough that an
@@ -42,28 +86,83 @@ const HANG_MS: u64 = 2000;
 /// they run on the synthesis thread between generations.
 pub type ProgressSink = std::sync::Arc<dyn Fn(&cold_obs::GenerationRecord) + Send + Sync>;
 
-/// Fans one generation record out to the trace observer (when telemetry
-/// is enabled) and an optional [`ProgressSink`] — the single observer
-/// slot `cold-ga` exposes, multiplexed.
-pub(crate) struct ObserverFanout {
+/// The telemetry of one run: `run_start` when opened; each generation
+/// record fanned out to the trace observer (when telemetry is enabled)
+/// and an optional [`ProgressSink`] — the single observer slot `cold-ga`
+/// exposes, multiplexed; `ga_stalled` and `run_end` when closed.
+pub(crate) struct RunTelemetry {
+    seed: u64,
+    stall_gens: usize,
     trace: Option<cold_obs::TraceObserver>,
     progress: Option<ProgressSink>,
 }
 
-impl ObserverFanout {
-    pub(crate) fn new(
-        trace: Option<cold_obs::TraceObserver>,
+impl RunTelemetry {
+    pub(crate) fn open(
+        cfg: &ColdConfig,
+        seed: u64,
+        n: usize,
+        mode: String,
         progress: Option<ProgressSink>,
     ) -> Self {
-        Self { trace, progress }
+        let traced = cold_obs::is_enabled();
+        if traced {
+            cold_obs::emit(&cold_obs::Event::RunStart(cold_obs::RunStart {
+                run: cold_obs::run_id(seed),
+                n,
+                mode,
+                generations: cfg.ga.generations,
+                population: cfg.ga.population,
+            }));
+        }
+        let trace = traced.then(|| cold_obs::TraceObserver::new(seed));
+        Self { seed, stall_gens: cfg.ga.stall_gens.unwrap_or(0), trace, progress }
     }
 
-    pub(crate) fn is_active(&self) -> bool {
-        self.trace.is_some() || self.progress.is_some()
+    /// The engine's observer slot: `None` when nobody listens, so an
+    /// unobserved run computes no telemetry values at all.
+    pub(crate) fn slot(&mut self) -> Option<&mut dyn cold_obs::GenerationObserver> {
+        if self.trace.is_some() || self.progress.is_some() {
+            Some(self)
+        } else {
+            None
+        }
+    }
+
+    pub(crate) fn close(
+        &self,
+        generations_run: usize,
+        best_cost: f64,
+        evaluations: usize,
+        eval_stats: &cold_ga::EvalStats,
+        repair_rate: f64,
+        stop_reason: cold_ga::StopReason,
+    ) {
+        if self.trace.is_none() {
+            return;
+        }
+        let run = cold_obs::run_id(self.seed);
+        if stop_reason == cold_ga::StopReason::Stalled {
+            cold_obs::emit(&cold_obs::Event::GaStalled(cold_obs::GaStalled {
+                run: run.clone(),
+                generation: generations_run,
+                stall_gens: self.stall_gens,
+                best: best_cost,
+            }));
+        }
+        cold_obs::emit(&cold_obs::Event::RunEnd(cold_obs::RunEnd {
+            run,
+            generations_run,
+            best_cost,
+            evaluations,
+            cache_hit_rate: eval_stats.hit_rate(),
+            eval_seconds: eval_stats.eval_seconds,
+            repair_rate,
+        }));
     }
 }
 
-impl cold_obs::GenerationObserver for ObserverFanout {
+impl cold_obs::GenerationObserver for RunTelemetry {
     fn on_generation(&mut self, record: &cold_obs::GenerationRecord) {
         if let Some(trace) = &mut self.trace {
             trace.on_generation(record);
@@ -99,7 +198,8 @@ pub fn join_abandoned_watchdog_threads() {
     }
 }
 
-/// Runs one trial on a detached thread with a wall-clock deadline.
+/// Runs one standard trial, on a detached thread with a wall-clock
+/// deadline when `deadline` is set.
 ///
 /// Returns the trial's own result when it finishes in time, or
 /// [`ColdError::DeadlineExceeded`] when the deadline fires first — in
@@ -110,9 +210,16 @@ pub fn join_abandoned_watchdog_threads() {
 pub(crate) fn run_with_deadline(
     cfg: &ColdConfig,
     seed: u64,
-    deadline: std::time::Duration,
+    deadline: Option<std::time::Duration>,
     progress: Option<ProgressSink>,
 ) -> Result<SynthesisResult, ColdError> {
+    let run = move |cfg: &ColdConfig| {
+        let control = RunControl { progress, ..RunControl::default() };
+        cfg.try_run(seed, None, RunMode::Standard, control)
+    };
+    let Some(deadline) = deadline else {
+        return run(cfg);
+    };
     let cfg = *cfg;
     let (tx, rx) = std::sync::mpsc::channel();
     // Trace context is thread-local; snapshot it here and re-install it
@@ -120,11 +227,8 @@ pub(crate) fn run_with_deadline(
     let trace_ctx = cold_obs::trace::current();
     let worker = std::thread::spawn(move || {
         let _trace = trace_ctx.map(cold_obs::trace::enter);
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| cfg.try_synthesize_progress(seed, progress)))
-                .unwrap_or_else(|payload| {
-                    Err(ColdError::TrialPanic(panic_message(payload.as_ref())))
-                });
+        let outcome = catch_unwind(AssertUnwindSafe(|| run(&cfg)))
+            .unwrap_or_else(|payload| Err(ColdError::TrialPanic(panic_message(payload.as_ref()))));
         // The receiver is gone when the deadline already fired; the
         // result is then dropped with the thread.
         let _ = tx.send(outcome);
@@ -154,6 +258,49 @@ pub enum SynthesisMode {
     /// recommended default.
     #[default]
     Initialized,
+}
+
+/// What one scalar synthesis optimizes and where its GA starts. Every
+/// mode runs the same pipeline ([`ColdConfig::try_run`]); a mode only
+/// picks the objective overlay and the initial population.
+#[derive(Debug, Clone, Copy)]
+pub enum RunMode<'a> {
+    /// The paper's pipeline: eq. (2), with the greedy heuristics' outputs
+    /// as GA seeds in [`SynthesisMode::Initialized`].
+    Standard,
+    /// Warm start (DESIGN.md §17): generation 0 is `parent` plus mutation
+    /// perturbations of it, and every link rewired against `parent` costs
+    /// [`ChangeCosts`] on top of eq. (2). The GA stream is
+    /// `derive_seed(seed, WARM_SALT)`.
+    Warm {
+        /// The design to start from, on the context's node set.
+        parent: &'a AdjacencyMatrix,
+        /// Per-link rewiring prices.
+        costs: ChangeCosts,
+    },
+    /// Eq. (2) plus `bridge_cost` per bridge link (§2's redundancy
+    /// extension); seeded exactly like [`RunMode::Standard`].
+    Resilient {
+        /// Extra cost per link whose single failure disconnects the
+        /// network (finite, >= 0).
+        bridge_cost: f64,
+    },
+}
+
+/// Runtime hooks of one synthesis — none of them changes its output.
+#[derive(Default)]
+pub struct RunControl<'a> {
+    /// Live per-generation progress (see [`ProgressSink`]).
+    pub progress: Option<ProgressSink>,
+    /// Receives a mid-run [`cold_ga::GaCheckpoint`] every `every`
+    /// generations (lease-based remote execution uploads these).
+    pub checkpoint: Option<cold_ga::CheckpointHook<'a>>,
+    /// Restarts the GA bit-identically from such a snapshot (RNG state
+    /// included). Context generation and heuristic seeding still re-run,
+    /// so the result document is identical whether or not the trial was
+    /// ever interrupted — on any host, which is what checkpoint migration
+    /// relies on.
+    pub resume: Option<cold_ga::GaCheckpoint>,
 }
 
 /// Full configuration of a COLD synthesis.
@@ -205,6 +352,47 @@ impl ColdConfig {
         Ok(())
     }
 
+    /// The random context synthesis `seed` designs for:
+    /// `context.generate(derive_seed(seed, 0xC0))`, shared by every mode
+    /// so a warm, resilient or Pareto run with the same `(config, seed)`
+    /// optimizes the same PoPs and traffic as a standard one.
+    pub fn context_for(&self, seed: u64) -> Context {
+        self.context.generate(derive_seed(seed, 0xC0))
+    }
+
+    /// The shared front of every run: validation, the `trial.hang` fault
+    /// site, and the context (`ctx`, or [`context_for`](Self::context_for)).
+    pub(crate) fn prepare(&self, seed: u64, ctx: Option<Context>) -> Result<Context, ColdError> {
+        self.validate()?;
+        if cold_fault::armed() && cold_fault::should_fire("trial.hang") {
+            std::thread::sleep(std::time::Duration::from_millis(HANG_MS));
+        }
+        Ok(ctx.unwrap_or_else(|| self.context_for(seed)))
+    }
+
+    /// The GA's initial seeds and `(heuristic name, cost)` table: the
+    /// four greedy heuristics on stream `derive_seed(seed, 0x4755)` in
+    /// initialized mode, nothing for the plain GA.
+    pub(crate) fn heuristic_seeds(
+        &self,
+        objective: &ColdObjective<'_>,
+        seed: u64,
+    ) -> (Vec<AdjacencyMatrix>, Vec<(String, f64)>) {
+        if self.mode == SynthesisMode::GaOnly {
+            return (Vec::new(), Vec::new());
+        }
+        let hs = {
+            let _t = cold_obs::timer("core.heuristic_seed");
+            all_heuristics(objective.evaluator(), &self.random_greedy, derive_seed(seed, 0x4755))
+        };
+        hs.into_iter().map(|(name, r)| (r.topology, (name.to_string(), r.cost))).unzip()
+    }
+
+    /// The GA settings of run `seed`: stream `derive_seed(seed, salt)`.
+    pub(crate) fn ga_settings(&self, seed: u64, salt: u64) -> GaSettings {
+        GaSettings { seed: derive_seed(seed, salt), ..self.ga }
+    }
+
     /// Synthesizes one network: generates the context for `seed`, then
     /// optimizes deterministically.
     ///
@@ -219,71 +407,14 @@ impl ColdConfig {
     /// and GA failures (e.g. a non-finite cost) surface as [`ColdError`]
     /// so ensemble drivers can record and retry the trial.
     pub fn try_synthesize(&self, seed: u64) -> Result<SynthesisResult, ColdError> {
-        self.try_synthesize_progress(seed, None)
-    }
-
-    /// [`try_synthesize`](Self::try_synthesize) with an optional live
-    /// per-generation [`ProgressSink`]. The sink is a strictly read-only
-    /// consumer of the same [`cold_obs::GenerationRecord`]s the trace
-    /// observer sees, so attaching one never changes the synthesized
-    /// network — `cold-serve` uses this to report job progress while a
-    /// synthesis runs.
-    pub fn try_synthesize_progress(
-        &self,
-        seed: u64,
-        progress: Option<ProgressSink>,
-    ) -> Result<SynthesisResult, ColdError> {
-        self.validate()?;
-        if cold_fault::armed() && cold_fault::should_fire("trial.hang") {
-            std::thread::sleep(std::time::Duration::from_millis(HANG_MS));
-        }
-        let ctx = self.context.generate(derive_seed(seed, 0xC0));
-        self.try_synthesize_in_context_progress(ctx, seed, progress)
-    }
-
-    /// [`try_synthesize_progress`](Self::try_synthesize_progress) plus
-    /// the GA engine's crash-safety hooks, for lease-based remote
-    /// execution: `checkpoint` receives a mid-run [`cold_ga::GaCheckpoint`]
-    /// every `every` generations, and `resume` restarts the GA
-    /// bit-identically from such a snapshot (RNG state included).
-    ///
-    /// The cheap deterministic pre-GA work — context generation and
-    /// heuristic seeding — always re-runs, because the result document
-    /// (heuristic costs, context) must be identical whether or not the
-    /// trial was ever interrupted; with `resume` the engine then ignores
-    /// the seed population and continues from the snapshot. Resuming on a
-    /// different host than the one that wrote the snapshot yields the
-    /// same network byte-for-byte (only wall-clock `eval_seconds`
-    /// differs), which is the invariant checkpoint migration relies on.
-    ///
-    /// # Errors
-    /// As [`try_synthesize`](Self::try_synthesize), plus
-    /// [`ColdError::Ga`] when `resume` is inconsistent with the
-    /// configured GA settings.
-    pub fn try_synthesize_resumable(
-        &self,
-        seed: u64,
-        progress: Option<ProgressSink>,
-        checkpoint: Option<cold_ga::CheckpointHook<'_>>,
-        resume: Option<cold_ga::GaCheckpoint>,
-    ) -> Result<SynthesisResult, ColdError> {
-        self.validate()?;
-        if cold_fault::armed() && cold_fault::should_fire("trial.hang") {
-            std::thread::sleep(std::time::Duration::from_millis(HANG_MS));
-        }
-        let ctx = self.context.generate(derive_seed(seed, 0xC0));
-        self.synthesize_hooked(ctx, seed, progress, checkpoint, resume)
+        self.try_run(seed, None, RunMode::Standard, RunControl::default())
     }
 
     /// Optimizes within an explicitly provided context (e.g. real PoP
     /// locations, or the fixed-context comparisons of Fig 3).
     ///
-    /// When telemetry is active (`COLD_TRACE` or [`cold_obs::configure`])
-    /// the run emits a `run_start` event, one `generation` event per GA
-    /// generation, and a `run_end` summary, all tagged with `seed` as the
-    /// run identifier; the journal file (if any) is echoed into
-    /// [`SynthesisResult::journal_path`]. Tracing never changes the
-    /// synthesized network: observers receive read-only records.
+    /// # Panics
+    /// As [`synthesize`](Self::synthesize).
     pub fn synthesize_in_context(&self, ctx: Context, seed: u64) -> SynthesisResult {
         self.try_synthesize_in_context(ctx, seed).expect("synthesis failed")
     }
@@ -291,9 +422,7 @@ impl ColdConfig {
     /// Fallible [`synthesize_in_context`](Self::synthesize_in_context).
     ///
     /// # Errors
-    /// [`ColdError::Config`] for inconsistent settings,
-    /// [`ColdError::Ga`] when the engine rejects the run (e.g. a cost
-    /// model producing NaN).
+    /// As [`try_run`](Self::try_run).
     pub fn try_synthesize_in_context(
         &self,
         ctx: Context,
@@ -303,105 +432,115 @@ impl ColdConfig {
     }
 
     /// [`try_synthesize_in_context`](Self::try_synthesize_in_context)
-    /// with an optional live per-generation [`ProgressSink`] (see
-    /// [`try_synthesize_progress`](Self::try_synthesize_progress)).
+    /// with an optional live per-generation [`ProgressSink`].
+    ///
+    /// # Errors
+    /// As [`try_run`](Self::try_run).
     pub fn try_synthesize_in_context_progress(
         &self,
         ctx: Context,
         seed: u64,
         progress: Option<ProgressSink>,
     ) -> Result<SynthesisResult, ColdError> {
-        self.synthesize_hooked(ctx, seed, progress, None, None)
+        let control = RunControl { progress, ..RunControl::default() };
+        self.try_run(seed, Some(ctx), RunMode::Standard, control)
     }
 
-    /// The shared synthesis body: every public entry funnels here. With
-    /// `checkpoint`/`resume` both `None` this is exactly the historical
-    /// path (the engine call degenerates to `try_run_traced`).
-    fn synthesize_hooked(
+    /// The one scalar synthesis pipeline every entry point funnels into:
+    /// validate, derive the context (unless `ctx` is given), seed the GA
+    /// (heuristics for standard and resilient runs, the parent for warm
+    /// ones), run the engine under `mode`'s objective overlay, and build
+    /// the winning topology into a [`Network`].
+    ///
+    /// A synthesis is a pure function of `(config, seed, ctx, mode)`;
+    /// `control` only observes it — or, with `resume`, continues it
+    /// bit-identically. When telemetry is active the run emits
+    /// `run_start`, one `generation` event per GA generation, and a
+    /// `run_end` summary, all tagged with `seed` as the run identifier.
+    ///
+    /// # Errors
+    /// [`ColdError::Config`] for invalid settings (including a warm
+    /// parent whose node count does not match the context, or a negative
+    /// bridge cost), [`ColdError::Ga`] when the engine rejects the run
+    /// (e.g. a cost model producing NaN, or a `resume` snapshot
+    /// inconsistent with the settings).
+    pub fn try_run(
         &self,
-        ctx: Context,
         seed: u64,
-        progress: Option<ProgressSink>,
-        checkpoint: Option<cold_ga::CheckpointHook<'_>>,
-        resume: Option<cold_ga::GaCheckpoint>,
+        ctx: Option<Context>,
+        mode: RunMode<'_>,
+        control: RunControl<'_>,
     ) -> Result<SynthesisResult, ColdError> {
-        let _span = cold_obs::span("core.synthesize");
-        let traced = cold_obs::is_enabled();
-        if traced {
-            cold_obs::emit(&cold_obs::Event::RunStart(cold_obs::RunStart {
-                run: cold_obs::run_id(seed),
-                n: ctx.n(),
-                mode: format!("{:?}", self.mode),
-                generations: self.ga.generations,
-                population: self.ga.population,
-            }));
-        }
-        let objective = ColdObjective::new(&ctx, self.params);
-        let mut heuristic_costs = Vec::new();
-        let seeds: Vec<cold_graph::AdjacencyMatrix> = match self.mode {
-            SynthesisMode::GaOnly => Vec::new(),
-            SynthesisMode::Initialized => {
-                let hs = {
-                    let _t = cold_obs::timer("core.heuristic_seed");
-                    all_heuristics(
-                        objective.evaluator(),
-                        &self.random_greedy,
-                        derive_seed(seed, 0x4755),
-                    )
-                };
-                hs.into_iter()
-                    .map(|(name, r)| {
-                        heuristic_costs.push((name.to_string(), r.cost));
-                        r.topology
-                    })
-                    .collect()
+        let ctx = self.prepare(seed, ctx)?;
+        let (span, label) = match mode {
+            RunMode::Standard => ("core.synthesize", format!("{:?}", self.mode)),
+            RunMode::Warm { parent, costs } => {
+                costs.validate().map_err(ColdError::Config)?;
+                if parent.n() != ctx.n() {
+                    return Err(ColdError::Config(format!(
+                        "warm-start parent has {} nodes, context has {}",
+                        parent.n(),
+                        ctx.n()
+                    )));
+                }
+                ("core.synthesize_warm", "Warm".to_string())
+            }
+            RunMode::Resilient { bridge_cost } => {
+                if !(bridge_cost.is_finite() && bridge_cost >= 0.0) {
+                    return Err(ColdError::Config(format!(
+                        "bridge cost {bridge_cost} must be finite and >= 0"
+                    )));
+                }
+                ("core.synthesize", "Resilient".to_string())
             }
         };
-        let ga_settings = GaSettings { seed: derive_seed(seed, 0x6741), ..self.ga };
-        let engine = GeneticAlgorithm::try_new(&objective, ga_settings)?;
-        let mut observer =
-            ObserverFanout::new(traced.then(|| cold_obs::TraceObserver::new(seed)), progress);
-        let result = if observer.is_active() {
-            engine.run_resumable(&seeds, Some(&mut observer), checkpoint, resume)?
-        } else {
-            engine.run_resumable(&seeds, None, checkpoint, resume)?
-        };
-        if traced {
-            if result.stop_reason == cold_ga::StopReason::Stalled {
-                cold_obs::emit(&cold_obs::Event::GaStalled(cold_obs::GaStalled {
-                    run: cold_obs::run_id(seed),
-                    generation: result.generations_run,
-                    stall_gens: self.ga.stall_gens.unwrap_or(0),
-                    best: result.best.cost,
-                }));
+        let _span = cold_obs::span(span);
+        let mut telemetry = RunTelemetry::open(self, seed, ctx.n(), label, control.progress);
+        let base = ColdObjective::new(&ctx, self.params);
+        let (bridge, rewiring);
+        let (objective, salt): (&dyn Objective, u64) = match mode {
+            RunMode::Standard => (&base, 0x6741),
+            RunMode::Resilient { bridge_cost } => {
+                bridge = PenalizedObjective::new(&base, BridgeCost(bridge_cost));
+                (&bridge, 0x6741)
             }
-            cold_obs::emit(&cold_obs::Event::RunEnd(cold_obs::RunEnd {
-                run: cold_obs::run_id(seed),
-                generations_run: result.generations_run,
-                best_cost: result.best.cost,
-                evaluations: result.evaluations,
-                cache_hit_rate: result.eval_stats.hit_rate(),
-                eval_seconds: result.eval_stats.eval_seconds,
-                repair_rate: result.repair_stats.repair_rate(),
-            }));
-        }
-        let network = Network::build(result.best.topology.clone(), &ctx, self.params)
-            .expect("GA result is connected");
-        let stats = NetworkStats::compute(&network.graph()).expect("connected");
-        Ok(SynthesisResult {
-            journal_path: cold_obs::journal_path(),
-            context: ctx,
-            network,
-            stats,
+            RunMode::Warm { parent, costs } => {
+                rewiring = PenalizedObjective::new(&base, Rewiring { parent, costs });
+                (&rewiring, WARM_SALT)
+            }
+        };
+        let engine = GeneticAlgorithm::try_new(objective, self.ga_settings(seed, salt))?;
+        let (checkpoint, resume) = (control.checkpoint, control.resume);
+        let (result, heuristic_costs) = match mode {
+            RunMode::Warm { parent, .. } => {
+                (engine.run_warm(parent, telemetry.slot(), checkpoint, resume)?, Vec::new())
+            }
+            RunMode::Standard | RunMode::Resilient { .. } => {
+                let (seeds, costs) = self.heuristic_seeds(&base, seed);
+                (engine.run_resumable(&seeds, telemetry.slot(), checkpoint, resume)?, costs)
+            }
+        };
+        let repair_rate = result.repair_stats.repair_rate();
+        telemetry.close(
+            result.generations_run,
+            result.best.cost,
+            result.evaluations,
+            &result.eval_stats,
+            repair_rate,
+            result.stop_reason,
+        );
+        let outputs = RunOutputs {
             best_cost_history: result.history,
             final_population_costs: result.final_population.iter().map(|i| i.cost).collect(),
             heuristic_costs,
             evaluations: result.evaluations,
             eval_stats: result.eval_stats,
-            repair_rate: result.repair_stats.repair_rate(),
+            repair_rate,
             generations_run: result.generations_run,
             stop_reason: result.stop_reason,
-        })
+        };
+        Ok(SynthesisResult::assemble(ctx, result.best.topology, self.params, outputs)
+            .expect("GA result is connected"))
     }
 
     /// Synthesizes an ensemble of `count` networks with independent
@@ -416,7 +555,7 @@ impl ColdConfig {
     /// use [`synthesize_ensemble`](Self::synthesize_ensemble) to degrade
     /// gracefully to a partial ensemble instead.
     pub fn ensemble(&self, master_seed: u64, count: usize) -> Vec<SynthesisResult> {
-        let outcome = self.synthesize_ensemble(master_seed, count);
+        let outcome = self.synthesize_ensemble(master_seed, count, None);
         if let Some(f) = outcome.failures.iter().find(|f| !f.recovered) {
             panic!("ensemble trial {} failed after retry: {}", f.trial, f.error);
         }
@@ -433,34 +572,24 @@ impl ColdConfig {
     /// failure table, so a 100-trial campaign with one bad trial yields
     /// 99 networks and an audit trail instead of an abort.
     ///
+    /// With a `deadline`, each trial runs under the wall-clock watchdog: a
+    /// trial that overruns is abandoned and degrades into the same failure
+    /// accounting — [`ColdError::DeadlineExceeded`] in the failure table,
+    /// a retry on the salted seed, and a lost trial if the retry also
+    /// overruns — instead of wedging the whole ensemble.
+    ///
     /// Successful trials are bit-identical to [`ensemble`](Self::ensemble)
     /// output: seeds derive the same way and retries never perturb other
     /// trials' streams.
-    pub fn synthesize_ensemble(&self, master_seed: u64, count: usize) -> EnsembleOutcome {
-        self.ensemble_with_runner(master_seed, count, &|cfg, seed, _trial, _attempt| {
-            cfg.try_synthesize(seed)
-        })
-    }
-
-    /// [`synthesize_ensemble`](Self::synthesize_ensemble) with an optional
-    /// per-trial wall-clock deadline. A trial that overruns is abandoned
-    /// by the watchdog and degrades into the
-    /// normal failure accounting — [`ColdError::DeadlineExceeded`] in the
-    /// failure table, a retry on the salted seed, and a lost trial if the
-    /// retry also overruns — instead of wedging the whole ensemble.
-    /// `deadline: None` is exactly [`Self::synthesize_ensemble`].
-    pub fn synthesize_ensemble_guarded(
+    pub fn synthesize_ensemble(
         &self,
         master_seed: u64,
         count: usize,
         deadline: Option<std::time::Duration>,
     ) -> EnsembleOutcome {
-        match deadline {
-            None => self.synthesize_ensemble(master_seed, count),
-            Some(d) => self.ensemble_with_runner(master_seed, count, &move |cfg, seed, _t, _a| {
-                run_with_deadline(cfg, seed, d, None)
-            }),
-        }
+        self.ensemble_with_runner(master_seed, count, &move |cfg, seed, _trial, _attempt| {
+            run_with_deadline(cfg, seed, deadline, None)
+        })
     }
 
     /// [`synthesize_ensemble`](Self::synthesize_ensemble) with an
@@ -484,7 +613,7 @@ impl ColdConfig {
             // Boxed: a SynthesisResult is orders of magnitude larger than
             // the failure record, and every message would pay its size.
             Done(usize, Box<SynthesisResult>),
-            Failed { trial: usize, attempt: usize, seed: u64, error: ColdError },
+            Failed(TrialFailure),
         }
         let (tx, rx) = std::sync::mpsc::channel::<Message>();
         // Snapshot the ensemble span's context so every worker thread
@@ -499,57 +628,33 @@ impl ColdConfig {
                 scope.spawn(move |_| {
                     let _trace = trace_ctx.map(cold_obs::trace::enter);
                     loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= count {
+                        let trial = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if trial >= count {
                             break;
                         }
                         for attempt in 1..=2usize {
-                            let seed = if attempt == 1 {
-                                derive_seed(master_seed, i as u64)
-                            } else {
-                                derive_seed(derive_seed(master_seed, RETRY_SALT), i as u64)
-                            };
+                            let seed = trial_seed(master_seed, trial, attempt);
                             // The catch_unwind boundary keeps a panicking
                             // objective (or any other bug inside one trial)
                             // from unwinding into the crossbeam scope, which
                             // would re-raise and poison the whole ensemble.
                             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                run_trial(serial, seed, i, attempt)
+                                run_trial(serial, seed, trial, attempt)
                             }))
                             .unwrap_or_else(|payload| {
                                 Err(ColdError::TrialPanic(panic_message(payload.as_ref())))
                             });
                             match outcome {
                                 Ok(r) => {
-                                    tx.send(Message::Done(i, Box::new(r)))
+                                    tx.send(Message::Done(trial, Box::new(r)))
                                         .expect("result channel open");
                                     break;
                                 }
                                 Err(error) => {
-                                    if cold_obs::is_enabled() {
-                                        if let ColdError::DeadlineExceeded { seconds } = &error {
-                                            cold_obs::emit(
-                                                &cold_obs::Event::TrialDeadlineExceeded(
-                                                    cold_obs::TrialDeadlineExceeded {
-                                                        trial: i,
-                                                        attempt,
-                                                        seed,
-                                                        seconds: *seconds,
-                                                    },
-                                                ),
-                                            );
-                                        }
-                                        cold_obs::emit(&cold_obs::Event::TrialFailed(
-                                            cold_obs::TrialFailed {
-                                                trial: i,
-                                                attempt,
-                                                seed,
-                                                error: error.to_string(),
-                                            },
-                                        ));
-                                    }
-                                    tx.send(Message::Failed { trial: i, attempt, seed, error })
-                                        .expect("result channel open");
+                                    journal_failed_attempt(trial, attempt, seed, &error, true);
+                                    let recovered = false;
+                                    let f = TrialFailure { trial, attempt, seed, error, recovered };
+                                    tx.send(Message::Failed(f)).expect("result channel open");
                                 }
                             }
                         }
@@ -564,9 +669,7 @@ impl ColdConfig {
         for msg in rx {
             match msg {
                 Message::Done(i, r) => results.push((i, *r)),
-                Message::Failed { trial, attempt, seed, error } => {
-                    failures.push(TrialFailure { trial, attempt, seed, error, recovered: false })
-                }
+                Message::Failed(f) => failures.push(f),
             }
         }
         results.sort_by_key(|(i, _)| *i);
@@ -663,7 +766,48 @@ pub struct SynthesisResult {
     pub stop_reason: cold_ga::StopReason,
 }
 
+/// The run-specific outputs of a synthesis — everything in a
+/// [`SynthesisResult`] that is not re-derivable from its context and
+/// topology.
+pub(crate) struct RunOutputs {
+    pub(crate) best_cost_history: Vec<f64>,
+    pub(crate) final_population_costs: Vec<f64>,
+    pub(crate) heuristic_costs: Vec<(String, f64)>,
+    pub(crate) evaluations: usize,
+    pub(crate) eval_stats: cold_ga::EvalStats,
+    pub(crate) repair_rate: f64,
+    pub(crate) generations_run: usize,
+    pub(crate) stop_reason: cold_ga::StopReason,
+}
+
 impl SynthesisResult {
+    /// Builds `topology` into a capacitated [`Network`] on `context`,
+    /// computes its statistics, and attaches the run's outputs — shared by
+    /// fresh syntheses and checkpoint rebuilds.
+    pub(crate) fn assemble(
+        context: Context,
+        topology: AdjacencyMatrix,
+        params: CostParams,
+        run: RunOutputs,
+    ) -> Result<Self, cold_graph::GraphError> {
+        let network = Network::build(topology, &context, params)?;
+        let stats = NetworkStats::compute(&network.graph())?;
+        Ok(Self {
+            journal_path: cold_obs::journal_path(),
+            context,
+            network,
+            stats,
+            best_cost_history: run.best_cost_history,
+            final_population_costs: run.final_population_costs,
+            heuristic_costs: run.heuristic_costs,
+            evaluations: run.evaluations,
+            eval_stats: run.eval_stats,
+            repair_rate: run.repair_rate,
+            generations_run: run.generations_run,
+            stop_reason: run.stop_reason,
+        })
+    }
+
     /// Best cost found.
     pub fn best_cost(&self) -> f64 {
         self.network.total_cost()
@@ -779,7 +923,7 @@ mod tests {
                 assert_eq!(r.network.topology, reference[*i].network.topology, "trial {i}");
             }
         }
-        let retried_seed = derive_seed(derive_seed(5, super::RETRY_SALT), 2);
+        let retried_seed = trial_seed(5, 2, 2);
         let expected_retry = cfg.synthesize(retried_seed);
         let (_, recovered) = outcome.results.iter().find(|(i, _)| *i == 2).unwrap();
         assert_eq!(recovered.network.topology, expected_retry.network.topology);
@@ -810,7 +954,7 @@ mod tests {
     fn resilient_ensemble_matches_plain_ensemble_when_nothing_fails() {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let plain = cfg.ensemble(9, 3);
-        let outcome = cfg.synthesize_ensemble(9, 3);
+        let outcome = cfg.synthesize_ensemble(9, 3, None);
         assert!(outcome.is_complete() && outcome.failures.is_empty());
         for ((i, a), b) in outcome.results.iter().zip(&plain) {
             assert_eq!(a.network.topology, b.network.topology, "trial {i}");

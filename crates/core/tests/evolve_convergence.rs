@@ -8,7 +8,7 @@
 //! embedding, RNG streams) fails loudly instead of silently degrading
 //! into a cold start. EXPERIMENTS.md records one measured run.
 
-use cold::{ChangeCosts, ColdConfig, EvolutionPlan, PlanStep};
+use cold::{ChangeCosts, ColdConfig, EvolutionPlan, PlanStep, RunControl, RunMode};
 
 /// First generation index (1-based count) at which `history` reaches
 /// `target`, or `None` if it never does.
@@ -43,17 +43,10 @@ fn warm_start_reaches_cold_best_in_half_the_generations_at_n50() {
     let cold = config
         .try_synthesize_in_context(ctx.clone(), step_seed)
         .expect("cold synthesis on perturbed context");
-    let warm = cold::try_synthesize_warm_in_context(
-        &config,
-        ctx,
-        &parent.network.topology,
-        ChangeCosts::default(),
-        step_seed,
-        None,
-        None,
-        None,
-    )
-    .expect("warm synthesis on perturbed context");
+    let warm = RunMode::Warm { parent: &parent.network.topology, costs: ChangeCosts::default() };
+    let warm = config
+        .try_run(step_seed, Some(ctx), warm, RunControl::default())
+        .expect("warm synthesis on perturbed context");
 
     let cold_best = cold.best_cost();
     let cold_gens = cold.generations_run;
@@ -99,7 +92,7 @@ fn four_step_plan_at_n50_produces_a_valid_schedule() {
     };
     plan.validate().expect("plan validates");
 
-    let schedule = cold::run_plan(&plan).expect("plan runs");
+    let schedule = cold::run_plan(&plan, None).expect("plan runs");
     assert_eq!(schedule.steps.len(), 5, "base + 4 evolution steps");
     assert!(!schedule.steps[0].convergence.warm, "base step is cold");
     assert_eq!(schedule.steps[1].n, 50, "add_pop grew the context");

@@ -60,8 +60,9 @@ fn ga_snapshot_resumes_bit_identically_in_a_separate_process() {
         }
     };
     let hook = cold::ga::CheckpointHook { every: 2, sink: &mut sink };
+    let control = cold::RunControl { checkpoint: Some(hook), ..cold::RunControl::default() };
     let reference =
-        config.try_synthesize_resumable(seed, None, Some(hook), None).expect("reference synthesis");
+        config.try_run(seed, None, cold::RunMode::Standard, control).expect("reference synthesis");
     let snapshot = snapshot.expect("a snapshot was captured mid-run");
     assert!(snapshot.generation > 0, "snapshot must be genuinely mid-run");
 

@@ -28,10 +28,9 @@
 
 use crate::dist::proto::{self, LeaseGrant, Msg};
 use crate::metrics::names;
-use cold::context::rng::derive_seed;
 use cold::{
-    fingerprint_hex, value_fingerprint, CampaignCheckpoint, ColdConfig, ColdError, ProgressSink,
-    SynthesisResult, TrialRecord, RETRY_SALT,
+    fingerprint_hex, trial_seed, value_fingerprint, CampaignCheckpoint, ColdConfig, ColdError,
+    ProgressSink, RunControl, RunMode, SynthesisResult, TrialRecord,
 };
 use serde::Serialize;
 use serde_json::{json, Value};
@@ -103,6 +102,53 @@ struct PendingTrial {
     last_worker: Option<String>,
 }
 
+impl PendingTrial {
+    /// Leases this trial of `job` to `worker` (the coordinator itself for
+    /// an inline run), journaling the grant — and the migration, when a
+    /// previous holder lost it — under the job's trace.
+    fn lease(
+        self,
+        job: &str,
+        worker: &str,
+        deadline: Instant,
+        trace: Option<&cold_obs::trace::TraceCtx>,
+    ) -> Lease {
+        let lease = Lease {
+            job: job.to_string(),
+            trial: self.trial,
+            seed: self.seed,
+            salted: self.salted,
+            attempt: self.attempt,
+            worker: worker.to_string(),
+            deadline,
+            snapshot: self.snapshot,
+            resumed_generation: self.resumed_generation,
+        };
+        if cold_obs::is_enabled() {
+            let event = cold_obs::Event::TrialLeased(cold_obs::TrialLeased {
+                id: job.to_string(),
+                trial: lease.trial,
+                lease: lease.id(),
+                worker: worker.to_string(),
+                attempt: lease.attempt,
+            });
+            cold_obs::emit_with_ctx(&event, trace);
+            if let Some(from) = self.last_worker {
+                let event = cold_obs::Event::TrialMigrated(cold_obs::TrialMigrated {
+                    id: job.to_string(),
+                    trial: lease.trial,
+                    lease: lease.id(),
+                    from_worker: from,
+                    to_worker: worker.to_string(),
+                    resumed_generation: lease.resumed_generation,
+                });
+                cold_obs::emit_with_ctx(&event, trace);
+            }
+        }
+        lease
+    }
+}
+
 /// An outstanding grant.
 struct Lease {
     job: String,
@@ -114,6 +160,12 @@ struct Lease {
     deadline: Instant,
     snapshot: Option<Value>,
     resumed_generation: usize,
+}
+
+impl Lease {
+    fn id(&self) -> String {
+        lease_fp(&self.job, self.trial, self.seed, self.attempt)
+    }
 }
 
 struct WorkerInfo {
@@ -400,63 +452,21 @@ impl DistPool {
         };
         let shard = st.jobs.get_mut(&job_id).expect("picked shard exists");
         let p = shard.pending.remove(pos).expect("picked slot exists");
-        let lease_id = lease_fp(&job_id, p.trial, p.seed, p.attempt);
+        let deadline = now + self.cfg.lease_deadline;
+        let lease = p.lease(&job_id, worker, deadline, shard.trace.as_ref());
         let grant = LeaseGrant {
-            lease: lease_id.clone(),
+            lease: lease.id(),
             job: job_id.clone(),
-            trial: p.trial,
-            seed: p.seed,
-            attempt: p.attempt,
+            trial: lease.trial,
+            seed: lease.seed,
+            attempt: lease.attempt,
             config: shard.config_value.clone(),
             deadline_ms: self.cfg.lease_deadline.as_millis() as u64,
             ckpt_every: self.cfg.ckpt_every,
-            trace_id: shard
-                .trace
-                .as_ref()
-                .map(|c| c.trace_id.clone())
-                .unwrap_or_else(|| job_id.clone()),
-            snapshot: p.snapshot.clone(),
+            trace_id: shard.trace.as_ref().map_or_else(|| job_id.clone(), |c| c.trace_id.clone()),
+            snapshot: lease.snapshot.clone(),
         };
-        if cold_obs::is_enabled() {
-            let ctx = shard.trace.as_ref();
-            cold_obs::emit_with_ctx(
-                &cold_obs::Event::TrialLeased(cold_obs::TrialLeased {
-                    id: job_id.clone(),
-                    trial: p.trial,
-                    lease: lease_id.clone(),
-                    worker: worker.to_string(),
-                    attempt: p.attempt,
-                }),
-                ctx,
-            );
-            if let Some(from) = &p.last_worker {
-                cold_obs::emit_with_ctx(
-                    &cold_obs::Event::TrialMigrated(cold_obs::TrialMigrated {
-                        id: job_id.clone(),
-                        trial: p.trial,
-                        lease: lease_id.clone(),
-                        from_worker: from.clone(),
-                        to_worker: worker.to_string(),
-                        resumed_generation: p.resumed_generation,
-                    }),
-                    ctx,
-                );
-            }
-        }
-        st.leases.insert(
-            lease_id,
-            Lease {
-                job: job_id,
-                trial: p.trial,
-                seed: p.seed,
-                salted: p.salted,
-                attempt: p.attempt,
-                worker: worker.to_string(),
-                deadline: now + self.cfg.lease_deadline,
-                snapshot: p.snapshot,
-                resumed_generation: p.resumed_generation,
-            },
-        );
+        st.leases.insert(lease.id(), lease);
         if let Some(w) = st.workers.get_mut(worker) {
             w.leases += 1;
         }
@@ -666,11 +676,9 @@ impl DistPool {
             ));
             return;
         }
-        let salted_seed =
-            derive_seed(derive_seed(shard.master_seed, RETRY_SALT), lease.trial as u64);
         shard.pending.push_back(PendingTrial {
             trial: lease.trial,
-            seed: salted_seed,
+            seed: trial_seed(shard.master_seed, lease.trial, 2),
             salted: true,
             attempt: 1,
             eligible_at: now,
@@ -749,7 +757,7 @@ impl DistPool {
         for i in from..count {
             pending.push_back(PendingTrial {
                 trial: i,
-                seed: derive_seed(master_seed, i as u64),
+                seed: trial_seed(master_seed, i, 1),
                 salted: false,
                 attempt: 1,
                 eligible_at: now,
@@ -812,34 +820,7 @@ impl DistPool {
                 let p = shard.pending.remove(pos).expect("picked slot exists");
                 // Journal the local grant exactly like a remote one, so
                 // `journal-check` sees the same lease/migration shapes.
-                if cold_obs::is_enabled() {
-                    let ctx = shard.trace.as_ref();
-                    let lease_id = lease_fp(id, p.trial, p.seed, p.attempt);
-                    cold_obs::emit_with_ctx(
-                        &cold_obs::Event::TrialLeased(cold_obs::TrialLeased {
-                            id: id.to_string(),
-                            trial: p.trial,
-                            lease: lease_id.clone(),
-                            worker: "coordinator".into(),
-                            attempt: p.attempt,
-                        }),
-                        ctx,
-                    );
-                    if let Some(from) = &p.last_worker {
-                        cold_obs::emit_with_ctx(
-                            &cold_obs::Event::TrialMigrated(cold_obs::TrialMigrated {
-                                id: id.to_string(),
-                                trial: p.trial,
-                                lease: lease_id,
-                                from_worker: from.clone(),
-                                to_worker: "coordinator".into(),
-                                resumed_generation: p.resumed_generation,
-                            }),
-                            ctx,
-                        );
-                    }
-                }
-                return Step::Inline(p);
+                return Step::Inline(p.lease(id, "coordinator", now, shard.trace.as_ref()));
             }
         }
         Step::Idle
@@ -847,42 +828,21 @@ impl DistPool {
 
     /// Runs one trial inline on the coordinator (graceful degradation
     /// when the worker pool is empty).
-    fn run_inline(
-        &self,
-        id: &str,
-        config: &ColdConfig,
-        p: PendingTrial,
-        progress: Option<ProgressSink>,
-    ) {
-        let resume = p.snapshot.as_ref().and_then(|s| cold::ga::GaCheckpoint::from_value(s).ok());
-        let outcome = config.try_synthesize_resumable(p.seed, progress, None, resume);
+    fn run_inline(&self, config: &ColdConfig, lease: Lease, progress: Option<ProgressSink>) {
+        let resume =
+            lease.snapshot.as_ref().and_then(|s| cold::ga::GaCheckpoint::from_value(s).ok());
+        let control = RunControl { progress, resume, ..RunControl::default() };
+        let outcome = config.try_run(lease.seed, None, RunMode::Standard, control);
+        let mut st = self.state.lock().expect("dist pool poisoned");
         match outcome {
             Ok(r) => {
-                let rec = TrialRecord::from_result(p.trial, p.seed, &r);
-                let mut st = self.state.lock().expect("dist pool poisoned");
-                self.record_completion(&mut st, id, rec);
-                drop(st);
-                self.wake.notify_all();
+                let rec = TrialRecord::from_result(lease.trial, lease.seed, &r);
+                self.record_completion(&mut st, &lease.job, rec);
             }
-            Err(e) => {
-                let now = Instant::now();
-                let mut st = self.state.lock().expect("dist pool poisoned");
-                let lease = Lease {
-                    job: id.to_string(),
-                    trial: p.trial,
-                    seed: p.seed,
-                    salted: p.salted,
-                    attempt: p.attempt,
-                    worker: "coordinator".into(),
-                    deadline: now,
-                    snapshot: p.snapshot,
-                    resumed_generation: p.resumed_generation,
-                };
-                self.requeue_lease(&mut st, lease, &e.to_string(), now);
-                drop(st);
-                self.wake.notify_all();
-            }
+            Err(e) => self.requeue_lease(&mut st, lease, &e.to_string(), Instant::now()),
         }
+        drop(st);
+        self.wake.notify_all();
     }
 
     fn wait_for_change(&self, timeout: Duration) {
@@ -893,7 +853,7 @@ impl DistPool {
 
 enum Step {
     Extended(Vec<TrialRecord>),
-    Inline(PendingTrial),
+    Inline(Lease),
     Failed(String),
     Idle,
 }
@@ -901,11 +861,12 @@ enum Step {
 /// Runs (or resumes) a campaign by sharding its trials across the
 /// pool's workers.
 ///
-/// Semantics mirror [`cold::run_campaign_controlled`] with
-/// `checkpoint_every = 1` and salted retries: per-trial seeds are
-/// identical, completed prefixes are snapshotted to `checkpoint_path`
-/// after every trial, `on_trial` fires in trial order for rebuilt and
-/// fresh trials alike, and the returned results are bit-identical
+/// The campaign bookkeeping is [`cold::drive_campaign`]'s, exactly as
+/// for [`cold::run_campaign_controlled`] with `checkpoint_every = 1` and
+/// salted retries: per-trial seeds are identical, completed prefixes are
+/// snapshotted to `checkpoint_path` after every trial, `on_trial` fires
+/// in trial order for rebuilt and fresh trials alike, and the returned
+/// results are bit-identical
 /// (modulo wall-clock timing fields) to a local run — workers resume
 /// migrated trials from uploaded GA snapshots, and a resumed GA run is
 /// deterministic.
@@ -926,113 +887,53 @@ pub fn run_distributed_campaign(
     resume: Option<CampaignCheckpoint>,
     progress: Option<ProgressSink>,
     cancel: &AtomicBool,
-    mut on_trial: impl FnMut(usize, &SynthesisResult),
+    on_trial: impl FnMut(usize, &SynthesisResult),
 ) -> Result<Vec<SynthesisResult>, ColdError> {
     let _span = cold_obs::span("dist.campaign");
-    config.validate()?;
-    let mut records: Vec<TrialRecord> = match resume {
-        None => Vec::new(),
-        Some(snapshot) => {
-            snapshot.validate_against(config, master_seed, count)?;
-            snapshot.records
+    let mut registered = false;
+    // Completed trials arrive in contiguous batches; the campaign asks
+    // for them one at a time.
+    let mut ready: VecDeque<TrialRecord> = VecDeque::new();
+    let next_trial = |i: usize| loop {
+        if !registered {
+            // Trials `i..` are the ones the (possibly resumed) campaign
+            // still needs.
+            let dir = checkpoint_path.parent().map(Path::to_path_buf);
+            pool.register_job(id, config, master_seed, count, i, dir);
+            registered = true;
         }
-    };
-    let mut results = Vec::with_capacity(count);
-    for record in &records {
-        let r = record.rebuild(config)?;
-        on_trial(record.trial, &r);
-        results.push(r);
-    }
-    pool.register_job(
-        id,
-        config,
-        master_seed,
-        count,
-        records.len(),
-        checkpoint_path.parent().map(Path::to_path_buf),
-    );
-    let outcome = drive_job(
-        pool,
-        id,
-        config,
-        master_seed,
-        count,
-        checkpoint_path,
-        &mut records,
-        &mut results,
-        progress,
-        cancel,
-        &mut on_trial,
-    );
-    pool.deregister_job(id);
-    outcome.map(|()| results)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_job(
-    pool: &DistPool,
-    id: &str,
-    config: &ColdConfig,
-    master_seed: u64,
-    count: usize,
-    checkpoint_path: &Path,
-    records: &mut Vec<TrialRecord>,
-    results: &mut Vec<SynthesisResult>,
-    progress: Option<ProgressSink>,
-    cancel: &AtomicBool,
-    on_trial: &mut impl FnMut(usize, &SynthesisResult),
-) -> Result<(), ColdError> {
-    let save_snapshot = |records: &Vec<TrialRecord>, completed: usize| -> Result<(), ColdError> {
-        let snapshot =
-            CampaignCheckpoint { config: *config, master_seed, count, records: records.clone() };
-        snapshot.save(checkpoint_path)?;
-        if cold_obs::is_enabled() {
-            cold_obs::emit(&cold_obs::Event::Checkpoint(cold_obs::CheckpointEvent {
-                path: checkpoint_path.display().to_string(),
-                completed,
-                total: count,
-            }));
-        }
-        Ok(())
-    };
-    loop {
-        if results.len() == count {
-            return Ok(());
+        if let Some(rec) = ready.pop_front() {
+            return Ok((rec.seed, rec.rebuild(config)?));
         }
         if cancel.load(Ordering::SeqCst) {
-            if !records.is_empty() {
-                save_snapshot(records, results.len())?;
-            }
-            return Err(ColdError::Canceled { completed: results.len() });
+            return Err(ColdError::Canceled { completed: i });
         }
-        match pool.next_step(id, results.len()) {
-            Step::Extended(recs) => {
-                for rec in recs {
-                    let r = rec.rebuild(config)?;
-                    records.push(rec);
-                    let completed = results.len() + 1;
-                    if completed < count {
-                        save_snapshot(records, completed)?;
-                    }
-                    on_trial(completed - 1, &r);
-                    results.push(r);
-                }
-            }
-            Step::Inline(p) => pool.run_inline(id, config, p, progress.clone()),
-            Step::Failed(why) => {
-                if !records.is_empty() {
-                    let _ = save_snapshot(records, results.len());
-                }
-                return Err(ColdError::TrialPanic(why));
-            }
+        match pool.next_step(id, i) {
+            Step::Extended(recs) => ready.extend(recs),
+            Step::Inline(lease) => pool.run_inline(config, lease, progress.clone()),
+            Step::Failed(why) => return Err(ColdError::TrialPanic(why)),
             Step::Idle => pool.wait_for_change(Duration::from_millis(100)),
         }
-    }
+    };
+    let outcome = cold::drive_campaign(
+        config,
+        master_seed,
+        count,
+        1,
+        checkpoint_path,
+        resume,
+        Some(cancel),
+        next_trial,
+        on_trial,
+    );
+    pool.deregister_job(id);
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cold::context::rng::derive_seed;
 
     fn quick_cfg() -> ColdConfig {
         ColdConfig::quick(8, 1e-4, 10.0)
@@ -1174,7 +1075,7 @@ mod tests {
         assert_eq!(first.seed, derive_seed(master, 0));
         pool.tick(); // primary budget (1 attempt) exhausted -> salted
         let second = granted(pool.dispatch(Msg::LeaseRequest { worker: "w1".into() }));
-        assert_eq!(second.seed, derive_seed(derive_seed(master, RETRY_SALT), 0));
+        assert_eq!(second.seed, trial_seed(master, 0, 2));
         assert_eq!(second.attempt, 1, "salted phase restarts the attempt counter");
         pool.tick(); // salted budget exhausted -> job fails
         match pool.next_step("job-a", 0) {
@@ -1200,7 +1101,8 @@ mod tests {
         let mut snaps: Vec<Value> = Vec::new();
         let mut sink = |c: &cold::ga::GaCheckpoint| snaps.push(c.to_value());
         let hook = cold::ga::CheckpointHook { every: 2, sink: &mut sink };
-        cfg.try_synthesize_resumable(grant.seed, None, Some(hook), None).expect("trial");
+        let control = RunControl { checkpoint: Some(hook), ..RunControl::default() };
+        cfg.try_run(grant.seed, None, RunMode::Standard, control).expect("trial");
         let snapshot = snaps.last().expect("at least one snapshot").clone();
         let generation = snapshot.get("generation").and_then(Value::as_u64).expect("generation");
         assert!(generation > 0);

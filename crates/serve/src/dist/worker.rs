@@ -245,7 +245,8 @@ fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
         cold::ga::CheckpointHook { every: grant.ckpt_every.max(1), sink: &mut upload_snapshot };
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        job_config.try_synthesize_resumable(grant.seed, None, Some(hook), resume)
+        let control = cold::RunControl { checkpoint: Some(hook), resume, ..Default::default() };
+        job_config.try_run(grant.seed, None, cold::RunMode::Standard, control)
     }));
     let error = match outcome {
         Ok(Ok(result)) => {
@@ -273,14 +274,7 @@ fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
             }
         }
         Ok(Err(e)) => e.to_string(),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into());
-            format!("trial panicked: {msg}")
-        }
+        Err(panic) => format!("trial panicked: {}", cold::error::panic_message(panic.as_ref())),
     };
     eprintln!(
         "[cold-serve] worker {} failed job {} trial {}: {error}",

@@ -603,10 +603,12 @@ fn transition(entry: &JobEntry, id: &str, status: JobStatus) {
     }
 }
 
-/// Runs one job through the guarded campaign path. A panic anywhere in
-/// the trial (including the armed `serve.worker_panic` fault site) is
-/// contained at this boundary: the first panic retries the job — the
-/// checkpoint means no completed trial reruns — and a second panic fails
+/// The one served-job runner. It owns the progress sink, the panic
+/// boundary and the finish path; each mode only runs its synthesis and
+/// renders the result document. A panic anywhere in the run (including
+/// the armed `serve.worker_panic` fault site) is contained here: the
+/// first panic retries the job — a standard job resumes from its campaign
+/// checkpoint, so no completed trial reruns — and a second panic fails
 /// the job, never the server.
 fn run_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>) {
     // Re-enter the trace minted at submission: the campaign, its trials,
@@ -615,90 +617,34 @@ fn run_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>) {
     let _trace = job_ctx.map(cold_obs::trace::enter);
     transition(entry, id, JobStatus::Running);
     let started = Instant::now();
-    if entry.spec.mode == JobMode::Pareto {
-        run_pareto_job(shared, id, entry, started);
-        return;
-    }
-    if entry.spec.mode == JobMode::Evolve {
-        run_evolve_job(shared, id, entry, started);
-        return;
-    }
+    let spec = &entry.spec;
+    let sink = progress_sink(entry);
     let ckpt_path = shared.cache.checkpoint_path(id);
+    let parent = (spec.mode == JobMode::Evolve).then(|| warm_parent(shared, id, spec)).flatten();
 
     for attempt in 1..=2u32 {
-        let resume = CampaignCheckpoint::load(&ckpt_path).ok();
-        let resumed = resume.as_ref().map(|c| c.records.len()).unwrap_or(0);
+        let resume = match spec.mode {
+            JobMode::Standard => CampaignCheckpoint::load(&ckpt_path).ok(),
+            JobMode::Pareto | JobMode::Evolve => None,
+        };
         cold_obs::emit(&cold_obs::Event::JobStarted(cold_obs::JobStarted {
             id: id.to_string(),
-            resumed,
+            resumed: resume.as_ref().map_or(0, |c| c.records.len()),
         }));
-
-        let run = cold_obs::run_id(entry.spec.seed);
-        let progress_entry = Arc::clone(entry);
-        let sink: ProgressSink = Arc::new(move |record: &cold_obs::GenerationRecord| {
-            {
-                let mut p = progress_entry.progress.lock().expect("job progress poisoned");
-                p.generation = record.generation;
-                p.best = record.best;
-            }
-            if progress_entry.has_subscribers() {
-                let event = cold_obs::Event::Generation(cold_obs::GenerationEvent {
-                    run: run.clone(),
-                    record: record.clone(),
-                });
-                progress_entry
-                    .publish(&serde_json::to_string(&event.to_value()).expect("record serializes"));
-            }
-        });
-        let trial_entry = Arc::clone(entry);
-
+        let sink = Arc::clone(&sink);
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             if cold_fault::should_fire("serve.worker_panic") {
                 panic!("injected fault: serve.worker_panic");
             }
-            match &shared.dist {
-                // Coordinator mode: shard the campaign's trials across
-                // the worker pool (same seeds, same checkpoint file,
-                // same salted-retry semantics — see the dist module).
-                Some(pool) => dist::run_distributed_campaign(
-                    pool,
-                    id,
-                    &entry.spec.config,
-                    entry.spec.seed,
-                    entry.spec.count,
-                    &ckpt_path,
-                    resume,
-                    Some(sink),
-                    &shared.shutdown,
-                    |i, _| {
-                        trial_entry.progress.lock().expect("job progress poisoned").trials_done =
-                            i + 1;
-                    },
-                ),
-                None => cold::run_campaign_controlled(
-                    &entry.spec.config,
-                    entry.spec.seed,
-                    entry.spec.count,
-                    1, // checkpoint every trial: drains lose nothing
-                    &ckpt_path,
-                    resume,
-                    shared.trial_deadline,
-                    CampaignControl {
-                        progress: Some(sink),
-                        cancel: Some(&shared.shutdown),
-                        retry_salted: true,
-                    },
-                    |i, _| {
-                        trial_entry.progress.lock().expect("job progress poisoned").trials_done =
-                            i + 1;
-                    },
-                ),
+            match spec.mode {
+                JobMode::Standard => run_campaign(shared, id, entry, &ckpt_path, resume, sink),
+                JobMode::Pareto => run_pareto(id, spec, sink),
+                JobMode::Evolve => run_evolve(id, spec, parent.as_ref(), sink),
             }
         }));
-
         match outcome {
-            Ok(Ok(results)) => {
-                finish_job(shared, id, entry, &results, started);
+            Ok(Ok((doc, trials))) => {
+                finish_job(shared, id, entry, &doc, trials, started);
                 return;
             }
             Ok(Err(ColdError::Canceled { .. })) => {
@@ -717,230 +663,187 @@ fn run_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>) {
                     fail_job(id, entry, &format!("worker panicked twice: {msg}"));
                     return;
                 }
-                // First panic: loop around and retry from the checkpoint.
+                // First panic: loop around and retry.
             }
         }
     }
 }
 
-/// Runs a `mode: pareto` job: one NSGA-II synthesis, the whole front
-/// cached as the job's result document. No campaign checkpoint exists for
-/// this path (a front is one run), so the panic boundary simply retries
-/// once from scratch; a drain before completion re-queues the job on
-/// restart via the persisted spec.
-fn run_pareto_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>, started: Instant) {
-    let spec = entry.spec;
-    cold_obs::emit(&cold_obs::Event::JobStarted(cold_obs::JobStarted {
-        id: id.to_string(),
-        resumed: 0,
-    }));
-    let run = cold_obs::run_id(spec.seed);
-    let progress_entry = Arc::clone(entry);
-    let sink: ProgressSink = Arc::new(move |record: &cold_obs::GenerationRecord| {
+/// A job's live-progress hook: records the latest generation on the
+/// entry and republishes it to any SSE subscribers.
+fn progress_sink(entry: &Arc<JobEntry>) -> ProgressSink {
+    let run = cold_obs::run_id(entry.spec.seed);
+    let entry = Arc::clone(entry);
+    Arc::new(move |record: &cold_obs::GenerationRecord| {
         {
-            let mut p = progress_entry.progress.lock().expect("job progress poisoned");
+            let mut p = entry.progress.lock().expect("job progress poisoned");
             p.generation = record.generation;
             p.best = record.best;
         }
-        if progress_entry.has_subscribers() {
+        if entry.has_subscribers() {
             let event = cold_obs::Event::Generation(cold_obs::GenerationEvent {
                 run: run.clone(),
                 record: record.clone(),
             });
-            progress_entry
-                .publish(&serde_json::to_string(&event.to_value()).expect("record serializes"));
+            entry.publish(&serde_json::to_string(&event.to_value()).expect("record serializes"));
         }
-    });
-
-    for attempt in 1..=2u32 {
-        let sink = Arc::clone(&sink);
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            if cold_fault::should_fire("serve.worker_panic") {
-                panic!("injected fault: serve.worker_panic");
-            }
-            let ctx =
-                spec.config.context.generate(cold::context::rng::derive_seed(spec.seed, 0xC0));
-            cold::pareto::try_synthesize_pareto_in_context(
-                &spec.config,
-                ctx,
-                spec.seed,
-                cold::pareto::DEFAULT_ARCHIVE_CAPACITY,
-                Some(sink),
-            )
-        }));
-        match outcome {
-            Ok(Ok(result)) => {
-                let front: serde_json::Value =
-                    serde_json::from_str(&cold::export::pareto_front_to_json(&result))
-                        .expect("front exporter emits valid JSON");
-                let doc = serde_json::json!({
-                    "id": id,
-                    "seed": spec.seed,
-                    "mode": "pareto",
-                    "result": front,
-                });
-                let text = serde_json::to_string(&doc).expect("result doc serializes");
-                if let Err(e) = shared.cache.store_result(id, &text) {
-                    fail_job(id, entry, &format!("result not persisted: {e}"));
-                    return;
-                }
-                shared.cache.touch(id);
-                entry.progress.lock().expect("job progress poisoned").trials_done = 1;
-                let seconds = started.elapsed().as_secs_f64();
-                cold_obs::counter_add(names::JOBS_COMPLETED, 1);
-                cold_obs::observe_seconds(names::JOB_SECONDS, seconds);
-                cold_obs::emit(&cold_obs::Event::JobDone(cold_obs::JobDone {
-                    id: id.to_string(),
-                    trials: 1,
-                    seconds,
-                }));
-                transition(entry, id, JobStatus::Done);
-                maybe_evict(shared);
-                return;
-            }
-            Ok(Err(e)) => {
-                fail_job(id, entry, &e.to_string());
-                return;
-            }
-            Err(payload) => {
-                cold_obs::counter_add(names::WORKER_PANICS, 1);
-                let msg = cold::error::panic_message(payload.as_ref());
-                if attempt == 2 {
-                    fail_job(id, entry, &format!("worker panicked twice: {msg}"));
-                    return;
-                }
-            }
-        }
-    }
+    })
 }
 
-/// Runs a `mode: evolve` job: one synthesis warm-started from the parent
-/// job's cached design (result document first, campaign checkpoint as a
-/// fallback), pricing rewired links with the spec's change costs. When
-/// the parent's artifacts are gone — evicted, or never completed here —
-/// the job falls back to a cold run: same context, same objective, so
-/// the result is still well-defined, just slower. Evolve jobs always run
-/// on the coordinator's local pool; on the distributed path warm seeds
-/// already ride the checkpoint-upload frames, so there is nothing extra
-/// to ship.
-fn run_evolve_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>, started: Instant) {
-    let spec = entry.spec;
+/// A result document and the number of trials it holds.
+type Rendered = Result<(String, usize), ColdError>;
+
+fn render(doc: &serde_json::Value, trials: usize) -> Rendered {
+    Ok((serde_json::to_string(doc).expect("result doc serializes"), trials))
+}
+
+/// A standard job: the checkpointed campaign (sharded across the worker
+/// pool in coordinator mode), rendered as an ensemble report plus every
+/// topology.
+fn run_campaign(
+    shared: &Shared,
+    id: &str,
+    entry: &Arc<JobEntry>,
+    ckpt_path: &std::path::Path,
+    resume: Option<CampaignCheckpoint>,
+    sink: ProgressSink,
+) -> Rendered {
+    let spec = &entry.spec;
+    let on_trial = |i: usize, _: &cold::SynthesisResult| {
+        entry.progress.lock().expect("job progress poisoned").trials_done = i + 1;
+    };
+    let results = match &shared.dist {
+        // Coordinator mode: shard the campaign's trials across the worker
+        // pool (same seeds, same checkpoint file, same salted-retry
+        // semantics — see the dist module).
+        Some(pool) => dist::run_distributed_campaign(
+            pool,
+            id,
+            &spec.config,
+            spec.seed,
+            spec.count,
+            ckpt_path,
+            resume,
+            Some(sink),
+            &shared.shutdown,
+            on_trial,
+        ),
+        None => cold::run_campaign_controlled(
+            &spec.config,
+            spec.seed,
+            spec.count,
+            1, // checkpoint every trial: drains lose nothing
+            ckpt_path,
+            resume,
+            shared.trial_deadline,
+            CampaignControl {
+                progress: Some(sink),
+                cancel: Some(&shared.shutdown),
+                retry_salted: true,
+            },
+            on_trial,
+        ),
+    }?;
+    let report = cold::report::ensemble_report(&spec.config, &results, spec.seed);
+    let topologies: Vec<serde_json::Value> =
+        results.iter().map(|r| network_doc(&r.network, &r.context)).collect();
+    let doc = serde_json::json!({
+        "id": id,
+        "seed": spec.seed,
+        "count": spec.count,
+        "report": report,
+        "topologies": topologies,
+    });
+    render(&doc, results.len())
+}
+
+/// A `mode: pareto` job: one NSGA-II synthesis, the whole front as the
+/// result document. There is no campaign checkpoint (a front is one run),
+/// so a retry starts from scratch; a drain before completion re-queues
+/// the job on restart via the persisted spec.
+fn run_pareto(id: &str, spec: &JobSpec, sink: ProgressSink) -> Rendered {
+    let result = cold::pareto::try_synthesize_pareto_in_context(
+        &spec.config,
+        spec.config.context_for(spec.seed),
+        spec.seed,
+        cold::pareto::DEFAULT_ARCHIVE_CAPACITY,
+        Some(sink),
+    )?;
+    let front: serde_json::Value =
+        serde_json::from_str(&cold::export::pareto_front_to_json(&result))
+            .expect("front exporter emits valid JSON");
+    render(
+        &serde_json::json!({ "id": id, "seed": spec.seed, "mode": "pareto", "result": front }),
+        1,
+    )
+}
+
+/// An evolve job's parent design, embedded into this job's node set when
+/// the child's context grew. Loaded once per job.
+/// When the parent's artifacts are gone — evicted, or never completed
+/// here — or the parent is larger than the child (evolution never shrinks
+/// the node set), the design is `None` and the job runs cold: same
+/// context, same objective, so the result is still well-defined, just
+/// slower.
+fn warm_parent(shared: &Shared, id: &str, spec: &JobSpec) -> Option<cold::graph::AdjacencyMatrix> {
     let parent_hex = spec.parent_hex().expect("evolve specs carry a parent");
-    cold_obs::emit(&cold_obs::Event::JobStarted(cold_obs::JobStarted {
-        id: id.to_string(),
-        resumed: 0,
-    }));
-    let run = cold_obs::run_id(spec.seed);
-    let progress_entry = Arc::clone(entry);
-    let sink: ProgressSink = Arc::new(move |record: &cold_obs::GenerationRecord| {
-        {
-            let mut p = progress_entry.progress.lock().expect("job progress poisoned");
-            p.generation = record.generation;
-            p.best = record.best;
-        }
-        if progress_entry.has_subscribers() {
-            let event = cold_obs::Event::Generation(cold_obs::GenerationEvent {
-                run: run.clone(),
-                record: record.clone(),
-            });
-            progress_entry
-                .publish(&serde_json::to_string(&event.to_value()).expect("record serializes"));
-        }
-    });
-
-    // The parent design, embedded into this job's node set when the
-    // child's context grew. A parent larger than the child cannot seed
-    // it (evolution never shrinks the node set) — cold fallback.
     let n = spec.config.context.n;
-    let seed_topology = load_parent_topology(&shared.cache, &parent_hex)
+    let parent = load_parent_topology(&shared.cache, &parent_hex)
         .filter(|t| t.n() <= n)
         .map(|t| cold::embed_parent(&t, n));
-    if seed_topology.is_some() {
+    if parent.is_some() {
         // The parent earned another LRU life: it is visibly load-bearing.
         shared.cache.touch(&parent_hex);
         cold_obs::counter_add(names::WARM_STARTS, 1);
         cold_obs::emit(&cold_obs::Event::WarmStart(cold_obs::WarmStart {
             id: id.to_string(),
-            parent: parent_hex.clone(),
+            parent: parent_hex,
             seeds: spec.config.ga.population,
         }));
     }
+    parent
+}
 
-    for attempt in 1..=2u32 {
-        let sink = Arc::clone(&sink);
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            if cold_fault::should_fire("serve.worker_panic") {
-                panic!("injected fault: serve.worker_panic");
-            }
-            match &seed_topology {
-                Some(parent) => cold::try_synthesize_warm(
-                    &spec.config,
-                    parent,
-                    spec.change,
-                    spec.seed,
-                    Some(sink),
-                    None,
-                    None,
-                ),
-                None => spec.config.try_synthesize_progress(spec.seed, Some(sink)),
-            }
-        }));
-        match outcome {
-            Ok(Ok(result)) => {
-                let topology: serde_json::Value =
-                    serde_json::from_str(&cold::export::to_json(&result.network, &result.context))
-                        .expect("exporter emits valid JSON");
-                let penalty = seed_topology.as_ref().map_or(0.0, |p| {
-                    cold::change_penalty(p, &result.network.topology, &spec.change, |u, v| {
-                        result.context.distance(u, v)
-                    })
-                });
-                // `topologies` (not `topology`): a chained child parses
-                // this document exactly like a standard job's.
-                let doc = serde_json::json!({
-                    "id": id,
-                    "seed": spec.seed,
-                    "mode": "evolve",
-                    "parent": parent_hex,
-                    "warm": seed_topology.is_some(),
-                    "generations": result.generations_run,
-                    "change_penalty": penalty,
-                    "cost": result.network.total_cost(),
-                    "topologies": [topology],
-                });
-                let text = serde_json::to_string(&doc).expect("result doc serializes");
-                if let Err(e) = shared.cache.store_result(id, &text) {
-                    fail_job(id, entry, &format!("result not persisted: {e}"));
-                    return;
-                }
-                shared.cache.touch(id);
-                entry.progress.lock().expect("job progress poisoned").trials_done = 1;
-                let seconds = started.elapsed().as_secs_f64();
-                cold_obs::counter_add(names::JOBS_COMPLETED, 1);
-                cold_obs::observe_seconds(names::JOB_SECONDS, seconds);
-                cold_obs::emit(&cold_obs::Event::JobDone(cold_obs::JobDone {
-                    id: id.to_string(),
-                    trials: 1,
-                    seconds,
-                }));
-                transition(entry, id, JobStatus::Done);
-                maybe_evict(shared);
-                return;
-            }
-            Ok(Err(e)) => {
-                fail_job(id, entry, &e.to_string());
-                return;
-            }
-            Err(payload) => {
-                cold_obs::counter_add(names::WORKER_PANICS, 1);
-                let msg = cold::error::panic_message(payload.as_ref());
-                if attempt == 2 {
-                    fail_job(id, entry, &format!("worker panicked twice: {msg}"));
-                    return;
-                }
-            }
-        }
-    }
+/// A `mode: evolve` job: one synthesis warm-started from the parent
+/// job's design, pricing rewired links with the spec's change costs (cold
+/// when the parent is unavailable). Evolve jobs always run on the
+/// coordinator's local pool; on the distributed path warm seeds already
+/// ride the checkpoint-upload frames, so there is nothing extra to ship.
+fn run_evolve(
+    id: &str,
+    spec: &JobSpec,
+    parent: Option<&cold::graph::AdjacencyMatrix>,
+    sink: ProgressSink,
+) -> Rendered {
+    let mode = parent.map_or(cold::RunMode::Standard, |parent| cold::RunMode::Warm {
+        parent,
+        costs: spec.change,
+    });
+    let control = cold::RunControl { progress: Some(sink), ..cold::RunControl::default() };
+    let result = spec.config.try_run(spec.seed, None, mode, control)?;
+    let penalty = parent.map_or(0.0, |p| {
+        cold::change_penalty(p, &result.network.topology, &spec.change, |u, v| {
+            result.context.distance(u, v)
+        })
+    });
+    // `topologies` (not `topology`): a chained child parses this document
+    // exactly like a standard job's.
+    let doc = serde_json::json!({
+        "id": id,
+        "seed": spec.seed,
+        "mode": "evolve",
+        "parent": spec.parent_hex(),
+        "warm": parent.is_some(),
+        "generations": result.generations_run,
+        "change_penalty": penalty,
+        "cost": result.network.total_cost(),
+        "topologies": [network_doc(&result.network, &result.context)],
+    });
+    render(&doc, 1)
+}
+
+fn network_doc(network: &cold::cost::Network, ctx: &cold::context::Context) -> serde_json::Value {
+    serde_json::from_str(&cold::export::to_json(network, ctx)).expect("exporter emits valid JSON")
 }
 
 /// The parent's best design, for seeding a child's GA population: the
@@ -1013,41 +916,28 @@ fn maybe_evict(shared: &Shared) {
     }
 }
 
+/// The one finish path: persist the document, mark it used, count and
+/// journal the completion, publish `Done`, then trim the cache.
 fn finish_job(
     shared: &Shared,
     id: &str,
     entry: &Arc<JobEntry>,
-    results: &[cold::SynthesisResult],
+    doc: &str,
+    trials: usize,
     started: Instant,
 ) {
-    let spec = entry.spec;
-    let report = cold::report::ensemble_report(&spec.config, results, spec.seed);
-    let topologies: Vec<serde_json::Value> = results
-        .iter()
-        .map(|r| {
-            serde_json::from_str(&cold::export::to_json(&r.network, &r.context))
-                .expect("exporter emits valid JSON")
-        })
-        .collect();
-    let doc = serde_json::json!({
-        "id": id,
-        "seed": spec.seed,
-        "count": spec.count,
-        "report": report,
-        "topologies": topologies,
-    });
-    let text = serde_json::to_string(&doc).expect("result doc serializes");
-    if let Err(e) = shared.cache.store_result(id, &text) {
+    if let Err(e) = shared.cache.store_result(id, doc) {
         fail_job(id, entry, &format!("result not persisted: {e}"));
         return;
     }
     shared.cache.touch(id);
+    entry.progress.lock().expect("job progress poisoned").trials_done = trials;
     let seconds = started.elapsed().as_secs_f64();
     cold_obs::counter_add(names::JOBS_COMPLETED, 1);
     cold_obs::observe_seconds(names::JOB_SECONDS, seconds);
     cold_obs::emit(&cold_obs::Event::JobDone(cold_obs::JobDone {
         id: id.to_string(),
-        trials: results.len(),
+        trials,
         seconds,
     }));
     transition(entry, id, JobStatus::Done);

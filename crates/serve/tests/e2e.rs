@@ -223,38 +223,101 @@ fn queue_backpressure_dedup_and_typed_errors() {
 #[test]
 fn worker_panic_is_contained_and_the_job_retries() {
     let _guard = global_lock();
-    let dir = temp_dir("chaos-retry");
-    let journal = dir.join("serve.jsonl");
-    fresh_globals(Some(&journal));
-    // One-shot: the first job attempt panics, the retry runs clean.
-    cold_fault::configure("serve.worker_panic:1", 7).expect("arm fault");
+    for mode in ["standard", "pareto", "evolve"] {
+        let dir = temp_dir(&format!("chaos-retry-{mode}"));
+        let journal = dir.join("serve.jsonl");
+        fresh_globals(Some(&journal));
+        let (handle, addr) = start(ServerConfig {
+            workers: 1,
+            cache_dir: dir.join("cache"),
+            ..ServerConfig::default()
+        });
+        let config = ColdConfig::quick(8, 4e-4, 10.0).to_json_value();
+        let body = match mode {
+            "standard" => job_body(8, 21, 1),
+            "pareto" => serde_json::to_string(
+                &serde_json::json!({ "config": config, "seed": 21, "mode": "pareto" }),
+            )
+            .expect("body serializes"),
+            _ => {
+                // The parent runs before the fault is armed.
+                let resp = client_request(&addr, "POST", "/jobs", Some(&job_body(8, 20, 1)))
+                    .expect("submit parent");
+                let parent = parse_body(&resp.body)["id"].as_str().expect("id").to_string();
+                poll_until(&addr, &parent, &["done"], Duration::from_secs(120));
+                serde_json::to_string(&serde_json::json!({
+                    "config": config,
+                    "seed": 21,
+                    "mode": "evolve",
+                    "parent": parent,
+                    "change_costs": {"add_cost": 1.0, "remove_cost": 1.0, "length_weight": 0.0},
+                }))
+                .expect("body serializes")
+            }
+        };
+        // One-shot: the job's first attempt panics, the retry runs clean.
+        cold_fault::configure("serve.worker_panic:1", 7).expect("arm fault");
 
+        let resp = client_request(&addr, "POST", "/jobs", Some(&body)).expect("submit");
+        assert_eq!(resp.status, 202, "{mode}: {}", resp.body);
+        let id = parse_body(&resp.body)["id"].as_str().expect("id").to_string();
+        let done = poll_until(&addr, &id, &["done"], Duration::from_secs(180));
+        assert_eq!(done["status"].as_str(), Some("done"), "{mode}");
+
+        // The server stayed responsive and counted the contained panic.
+        let resp = client_request(&addr, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(resp.status, 200);
+        let metrics = client_request(&addr, "GET", "/metrics", None).expect("metrics").body;
+        assert_eq!(
+            cold_serve::metrics::parse_counter(&metrics, "cold_serve_worker_panics"),
+            Some(1),
+            "{mode}"
+        );
+
+        handle.shutdown();
+        handle.join();
+        cold_fault::clear();
+
+        // Journal: the fault fired, the job still completed, and the
+        // retry's job_started is visible (two starts for one job).
+        let events = read_journal(&journal);
+        assert!(events.iter().any(|e| e.kind() == "fault_injected"), "{mode}");
+        let of_job = |kind: &str| {
+            events
+                .iter()
+                .filter(|e| match e {
+                    cold_obs::Event::JobStarted(j) => kind == "job_started" && j.id == id,
+                    cold_obs::Event::JobDone(j) => kind == "job_done" && j.id == id,
+                    _ => false,
+                })
+                .count()
+        };
+        assert_eq!(of_job("job_done"), 1, "{mode}");
+        assert_eq!(of_job("job_started"), 2, "{mode}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
+    let _guard = global_lock();
+    let dir = temp_dir("deep-nesting");
+    fresh_globals(None);
     let (handle, addr) =
-        start(ServerConfig { workers: 1, cache_dir: dir.join("cache"), ..ServerConfig::default() });
+        start(ServerConfig { workers: 0, cache_dir: dir.join("cache"), ..ServerConfig::default() });
 
-    let resp = client_request(&addr, "POST", "/jobs", Some(&job_body(8, 21, 1))).expect("submit");
-    assert_eq!(resp.status, 202);
-    let id = parse_body(&resp.body)["id"].as_str().expect("id").to_string();
-    let done = poll_until(&addr, &id, &["done"], Duration::from_secs(120));
-    assert_eq!(done["status"].as_str(), Some("done"));
+    // Without a nesting bound, parsing this body recurses deep enough to
+    // overflow the HTTP thread's stack and abort the whole process.
+    let body = "[".repeat(200_000);
+    let resp = client_request(&addr, "POST", "/jobs", Some(&body)).expect("submit");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("nesting"), "{}", resp.body);
 
-    // The server stayed responsive and counted the contained panic.
     let resp = client_request(&addr, "GET", "/healthz", None).expect("healthz");
     assert_eq!(resp.status, 200);
-    let metrics = client_request(&addr, "GET", "/metrics", None).expect("metrics").body;
-    assert_eq!(cold_serve::metrics::parse_counter(&metrics, "cold_serve_worker_panics"), Some(1));
 
     handle.shutdown();
     handle.join();
-    cold_fault::clear();
-
-    // Journal: the fault fired, the job still completed, and the retry's
-    // job_started is visible (two starts for one job).
-    let events = read_journal(&journal);
-    let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
-    assert!(kinds.contains(&"fault_injected"));
-    assert!(kinds.contains(&"job_done"));
-    assert_eq!(kinds.iter().filter(|k| **k == "job_started").count(), 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 

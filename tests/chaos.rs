@@ -13,8 +13,8 @@
 //! consume the next case's one-shot triggers.
 
 use cold::{
-    join_abandoned_watchdog_threads, run_campaign, CampaignCheckpoint, ColdConfig, ColdError,
-    StopReason, SynthesisMode, RETRY_SALT,
+    join_abandoned_watchdog_threads, run_campaign_controlled, CampaignCheckpoint, CampaignControl,
+    ColdConfig, ColdError, StopReason, SynthesisMode, RETRY_SALT,
 };
 use cold_context::rng::derive_seed;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -50,7 +50,7 @@ fn injected_panic_is_recovered_by_the_salted_retry() {
     let expected_retry = cfg.synthesize(retry_seed);
 
     cold_fault::configure("eval.panic:1", master).expect("valid spec");
-    let outcome = cfg.synthesize_ensemble(master, 1);
+    let outcome = cfg.synthesize_ensemble(master, 1, None);
     teardown();
 
     assert!(outcome.is_complete(), "one-shot panic must be absorbed by the retry");
@@ -78,7 +78,7 @@ fn persistent_nan_degrades_to_a_partial_outcome_with_a_failure_table() {
     let mut cfg = ColdConfig::quick(8, 1e-4, 10.0);
     cfg.mode = SynthesisMode::GaOnly;
     cold_fault::configure("eval.nan:p=1.0", 7).expect("valid spec");
-    let outcome = cfg.synthesize_ensemble(7, 1);
+    let outcome = cfg.synthesize_ensemble(7, 1, None);
     teardown();
 
     assert!(!outcome.is_complete());
@@ -102,7 +102,7 @@ fn deadline_overrun_is_recovered_when_the_hang_is_one_shot() {
     let cfg = ColdConfig::quick(8, 1e-4, 10.0);
     cold_fault::configure("trial.hang:1", 9).expect("valid spec");
     // The injected hang sleeps ~2s; a 300ms deadline fires long before.
-    let outcome = cfg.synthesize_ensemble_guarded(9, 1, Some(Duration::from_millis(300)));
+    let outcome = cfg.synthesize_ensemble(9, 1, Some(Duration::from_millis(300)));
     teardown();
 
     assert!(outcome.is_complete(), "attempt 2 runs clean after the one-shot hang");
@@ -119,7 +119,7 @@ fn persistent_hang_becomes_a_lost_trial_not_a_wedge() {
     let cfg = ColdConfig::quick(8, 1e-4, 10.0);
     cold_fault::configure("trial.hang:p=1.0", 11).expect("valid spec");
     let started = std::time::Instant::now();
-    let outcome = cfg.synthesize_ensemble_guarded(11, 1, Some(Duration::from_millis(200)));
+    let outcome = cfg.synthesize_ensemble(11, 1, Some(Duration::from_millis(200)));
     let elapsed = started.elapsed();
     teardown();
 
@@ -185,13 +185,35 @@ fn campaign_io_fault_aborts_resumably_and_resume_matches_uninterrupted() {
 
     // Uninterrupted reference, no faults.
     cold_fault::clear();
-    let full = run_campaign(&cfg, 13, 4, 1, &path, None, None, |_, _| {}).expect("clean run");
+    let full = run_campaign_controlled(
+        &cfg,
+        13,
+        4,
+        1,
+        &path,
+        None,
+        None,
+        CampaignControl::default(),
+        |_, _| {},
+    )
+    .expect("clean run");
     let _ = std::fs::remove_file(&path);
 
     // every=1, count=4 ⇒ snapshot writes after trials 1, 2, 3. The second
     // write fails ⇒ the campaign aborts with trial 0's snapshot on disk.
     cold_fault::configure("campaign.io_err:2", 13).expect("valid spec");
-    let err = run_campaign(&cfg, 13, 4, 1, &path, None, None, |_, _| {}).unwrap_err();
+    let err = run_campaign_controlled(
+        &cfg,
+        13,
+        4,
+        1,
+        &path,
+        None,
+        None,
+        CampaignControl::default(),
+        |_, _| {},
+    )
+    .unwrap_err();
     teardown();
 
     match &err {
@@ -206,8 +228,18 @@ fn campaign_io_fault_aborts_resumably_and_resume_matches_uninterrupted() {
     assert_eq!(snapshot.records.len(), 1, "exactly the pre-fault prefix is on disk");
 
     // Resume with faults cleared: bit-identical to the uninterrupted run.
-    let resumed =
-        run_campaign(&cfg, 13, 4, 1, &path, Some(snapshot), None, |_, _| {}).expect("resume");
+    let resumed = run_campaign_controlled(
+        &cfg,
+        13,
+        4,
+        1,
+        &path,
+        Some(snapshot),
+        None,
+        CampaignControl::default(),
+        |_, _| {},
+    )
+    .expect("resume");
     assert_eq!(resumed.len(), full.len());
     for (x, y) in full.iter().zip(&resumed) {
         assert_eq!(x.network.topology, y.network.topology);
@@ -325,7 +357,7 @@ fn fault_injection_is_deterministic_per_seed() {
     cfg.mode = SynthesisMode::GaOnly;
     let run = |seed: u64| {
         cold_fault::configure("eval.nan:p=0.5", seed).expect("valid spec");
-        let outcome = cfg.synthesize_ensemble(seed, 1);
+        let outcome = cfg.synthesize_ensemble(seed, 1, None);
         cold_fault::clear();
         outcome.failures.iter().map(|f| (f.trial, f.attempt)).collect::<Vec<_>>()
     };

@@ -3,9 +3,9 @@
 //! → router-level expansion → export.
 
 use cold::evolution::{evolve, grow_context, EvolutionConfig};
-use cold::resilience::{survivability, synthesize_resilient, ResilientObjective};
+use cold::resilience::{survivability, BridgeCost};
 use cold::router_level::{expand, RouterLevelConfig};
-use cold::{ColdConfig, SynthesisMode};
+use cold::{ColdConfig, PenalizedObjective, RunControl, RunMode, SynthesisMode};
 use cold_context::import::context_from_csv;
 use cold_context::{GravityModel, PopulationKind};
 use cold_ga::{GaSettings, GeneticAlgorithm, Objective};
@@ -68,7 +68,7 @@ fn resilient_objective_is_never_cheaper_than_plain() {
     let cfg = ColdConfig::quick(9, 1e-4, 10.0);
     let ctx = cfg.context.generate(2);
     let plain = cold::ColdObjective::new(&ctx, cfg.params);
-    let res = ResilientObjective::new(&ctx, cfg.params, 33.0);
+    let res = PenalizedObjective::new(&plain, BridgeCost(33.0));
     for seed in 0..5u64 {
         // Arbitrary connected candidates via the plain GA's population.
         let engine = GeneticAlgorithm::new(&plain, tiny_ga(seed));
@@ -85,7 +85,10 @@ fn resilience_hardening_reduces_worst_case_failures() {
     let seed = 3;
     let plain = cfg.synthesize(seed);
     let plain_report = survivability(&plain.network.topology, &plain.context);
-    let (hardened, _, hard_report) = synthesize_resilient(&cfg, 1e5, seed).unwrap();
+    let hardened = cfg
+        .try_run(seed, None, RunMode::Resilient { bridge_cost: 1e5 }, RunControl::default())
+        .unwrap();
+    let hard_report = survivability(&hardened.network.topology, &hardened.context);
     assert!(
         hard_report.bridges <= plain_report.bridges,
         "hardening must not add bridges ({} -> {})",
@@ -93,7 +96,7 @@ fn resilience_hardening_reduces_worst_case_failures() {
         hard_report.bridges
     );
     assert!(hard_report.two_edge_connected);
-    assert!(hardened.link_count() >= plain.network.link_count());
+    assert!(hardened.network.link_count() >= plain.network.link_count());
     assert_eq!(hard_report.worst_link_failure_traffic_fraction, 0.0);
 }
 
