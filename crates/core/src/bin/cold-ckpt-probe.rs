@@ -68,7 +68,12 @@ fn inspect(path: &PathBuf) {
                 "completed": ckpt.records.len(),
             })
         }
-        _ => match cold::ga::GaCheckpoint::from_value(&doc) {
+        // A bare GA snapshot names no run size: inspect it at the size of
+        // its first chromosome.
+        _ => match cold::ga::GaCheckpoint::from_value(
+            &doc,
+            doc["population"][0]["topology"]["n"].as_u64().unwrap_or(0) as usize,
+        ) {
             Ok(ga) => serde_json::json!({
                 "kind": "cold-ga-checkpoint",
                 "generation": ga.generation,
@@ -84,13 +89,13 @@ fn resume_ga(path: &PathBuf) {
     let doc: Value = serde_json::from_str(&read_file(path))
         .unwrap_or_else(|e| fail(&format!("{}: not JSON: {e}", path.display())));
     let config = ColdConfig::from_json_value(&doc["config"])
-        .unwrap_or_else(|| fail("input `config` is not a valid ColdConfig"));
+        .unwrap_or_else(|e| fail(&format!("input `config`: {e}")));
     let seed = doc["seed"].as_u64().unwrap_or_else(|| fail("input `seed` missing"));
     let resume = if doc["snapshot"].is_null() {
         None
     } else {
         Some(
-            cold::ga::GaCheckpoint::from_value(&doc["snapshot"])
+            cold::ga::GaCheckpoint::from_value(&doc["snapshot"], config.context.n)
                 .unwrap_or_else(|e| fail(&format!("input `snapshot`: {e}"))),
         )
     };

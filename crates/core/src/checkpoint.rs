@@ -18,9 +18,9 @@ use crate::synthesizer::{
     journal_failed_attempt, run_with_deadline, trial_seed, ColdConfig, ProgressSink, RunOutputs,
     SynthesisResult,
 };
-use cold_graph::AdjacencyMatrix;
-use serde::{Deserialize as _, Serialize as _};
-use serde_json::{json, Value};
+use cold_graph::EdgeList;
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
@@ -31,22 +31,25 @@ use std::sync::atomic::Ordering;
 /// wall-clock field: it round-trips exactly through the checkpoint (so a
 /// resumed campaign reports the time the original leg actually spent) but
 /// is exempt from bit-identity comparisons against an uninterrupted run.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The derived codec is the record's JSON form, embedded in a
+/// [`CampaignCheckpoint`] and shipped alone by the distributed protocol.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialRecord {
     /// Zero-based trial index within the campaign.
     pub trial: usize,
     /// The per-trial seed (`derive_seed(master_seed, trial)`).
     pub seed: u64,
-    /// Node count of the synthesized topology.
-    pub n: usize,
-    /// Edges of the best topology, ascending.
-    pub edges: Vec<(usize, usize)>,
+    /// The best topology: its `n` and ascending `edges`, inline in the
+    /// record.
+    #[serde(flatten)]
+    pub topology: EdgeList,
     /// Best cost per generation.
     pub best_cost_history: Vec<f64>,
     /// Final GA population costs, ascending.
     pub final_population_costs: Vec<f64>,
-    /// `(heuristic name, cost)` pairs (initialized mode only).
-    pub heuristic_costs: Vec<(String, f64)>,
+    /// Heuristic seed costs (initialized mode only).
+    pub heuristic_costs: Vec<HeuristicCost>,
     /// Objective evaluations requested.
     pub evaluations: usize,
     /// Fitness-cache counters and wall-clock evaluation time.
@@ -60,17 +63,29 @@ pub struct TrialRecord {
     pub stop_reason: cold_ga::StopReason,
 }
 
+/// One heuristic's seed cost in a [`TrialRecord`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct HeuristicCost {
+    /// Heuristic name.
+    pub name: String,
+    /// Cost of the heuristic's topology.
+    pub cost: f64,
+}
+
 impl TrialRecord {
     /// Distills a completed trial into its checkpointable form.
     pub fn from_result(trial: usize, seed: u64, r: &SynthesisResult) -> Self {
         Self {
             trial,
             seed,
-            n: r.network.topology.n(),
-            edges: r.network.topology.edges().collect(),
+            topology: EdgeList::of(&r.network.topology),
             best_cost_history: r.best_cost_history.clone(),
             final_population_costs: r.final_population_costs.clone(),
-            heuristic_costs: r.heuristic_costs.clone(),
+            heuristic_costs: r
+                .heuristic_costs
+                .iter()
+                .map(|(name, cost)| HeuristicCost { name: name.clone(), cost: *cost })
+                .collect(),
             evaluations: r.evaluations,
             eval_stats: r.eval_stats,
             repair_rate: r.repair_rate,
@@ -89,19 +104,17 @@ impl TrialRecord {
     /// [`ColdError::Checkpoint`] when the stored topology does not fit
     /// the config (node-count mismatch, invalid edge, disconnected).
     pub fn rebuild(&self, config: &ColdConfig) -> Result<SynthesisResult, ColdError> {
-        if self.n != config.context.n {
-            return Err(ColdError::Checkpoint(format!(
-                "trial {}: topology has {} nodes, config expects {}",
-                self.trial, self.n, config.context.n
-            )));
-        }
-        let topology = AdjacencyMatrix::from_edges(self.n, &self.edges).map_err(|e| {
+        let topology = self.topology.to_matrix(config.context.n).map_err(|e| {
             ColdError::Checkpoint(format!("trial {}: bad topology: {e:?}", self.trial))
         })?;
         let outputs = RunOutputs {
             best_cost_history: self.best_cost_history.clone(),
             final_population_costs: self.final_population_costs.clone(),
-            heuristic_costs: self.heuristic_costs.clone(),
+            heuristic_costs: self
+                .heuristic_costs
+                .iter()
+                .map(|h| (h.name.clone(), h.cost))
+                .collect(),
             evaluations: self.evaluations,
             eval_stats: self.eval_stats,
             repair_rate: self.repair_rate,
@@ -116,124 +129,6 @@ impl TrialRecord {
                 ))
             })
     }
-
-    /// The record's JSON object form — the same shape embedded in a
-    /// [`CampaignCheckpoint`], public so the distributed protocol can
-    /// ship single trial results over the wire.
-    pub fn to_value(&self) -> Value {
-        json!({
-            "trial": self.trial,
-            "seed": self.seed,
-            "n": self.n,
-            "edges": Value::Array(
-                self.edges.iter().map(|&(u, v)| json!([u, v])).collect()
-            ),
-            "best_cost_history": Value::Array(
-                self.best_cost_history.iter().map(|&h| json!(h)).collect()
-            ),
-            "final_population_costs": Value::Array(
-                self.final_population_costs.iter().map(|&c| json!(c)).collect()
-            ),
-            "heuristic_costs": Value::Array(
-                self.heuristic_costs
-                    .iter()
-                    .map(|(name, cost)| json!({ "name": name, "cost": *cost }))
-                    .collect()
-            ),
-            "evaluations": self.evaluations,
-            "eval_stats": {
-                "requested": self.eval_stats.requested,
-                "cache_hits": self.eval_stats.cache_hits,
-                "cache_misses": self.eval_stats.cache_misses,
-                "eval_seconds": self.eval_stats.eval_seconds,
-                "delta_evals": self.eval_stats.delta_evals,
-                "full_evals": self.eval_stats.full_evals,
-            },
-            "repair_rate": self.repair_rate,
-            "generations_run": self.generations_run,
-            "stop_reason": self.stop_reason.as_str(),
-        })
-    }
-
-    /// Parses and schema-validates a record from its JSON object form.
-    ///
-    /// # Errors
-    /// A human-readable message naming the first missing or mistyped
-    /// field.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let mut edges = Vec::new();
-        for e in v.get("edges").and_then(Value::as_array).ok_or("trial: `edges` missing")? {
-            let pair = e.as_array().filter(|p| p.len() == 2).ok_or("trial: edge is not a pair")?;
-            let u = pair[0].as_u64().ok_or("trial: edge endpoint not an integer")? as usize;
-            let w = pair[1].as_u64().ok_or("trial: edge endpoint not an integer")? as usize;
-            edges.push((u, w));
-        }
-        let mut heuristic_costs = Vec::new();
-        for h in v
-            .get("heuristic_costs")
-            .and_then(Value::as_array)
-            .ok_or("trial: `heuristic_costs` missing")?
-        {
-            let name = h
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("trial: heuristic name missing")?
-                .to_string();
-            let cost =
-                h.get("cost").and_then(Value::as_f64).ok_or("trial: heuristic cost missing")?;
-            heuristic_costs.push((name, cost));
-        }
-        let es = v.get("eval_stats").ok_or("trial: `eval_stats` missing")?;
-        Ok(Self {
-            trial: usize_field(v, "trial")?,
-            seed: v.get("seed").and_then(Value::as_u64).ok_or("trial: `seed` missing")?,
-            n: usize_field(v, "n")?,
-            edges,
-            best_cost_history: f64_array(v, "best_cost_history")?,
-            final_population_costs: f64_array(v, "final_population_costs")?,
-            heuristic_costs,
-            evaluations: usize_field(v, "evaluations")?,
-            eval_stats: cold_ga::EvalStats {
-                requested: usize_field(es, "requested")?,
-                cache_hits: usize_field(es, "cache_hits")?,
-                cache_misses: usize_field(es, "cache_misses")?,
-                eval_seconds: f64_field(es, "eval_seconds")?,
-                // Lenient: checkpoints written before the delta/full split
-                // existed simply report zeros.
-                delta_evals: es.get("delta_evals").and_then(Value::as_u64).unwrap_or(0) as usize,
-                full_evals: es.get("full_evals").and_then(Value::as_u64).unwrap_or(0) as usize,
-            },
-            repair_rate: f64_field(v, "repair_rate")?,
-            generations_run: usize_field(v, "generations_run")?,
-            stop_reason: v
-                .get("stop_reason")
-                .and_then(Value::as_str)
-                .and_then(cold_ga::StopReason::parse)
-                .ok_or("trial: `stop_reason` missing or unknown")?,
-        })
-    }
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .map(|u| u as usize)
-        .ok_or_else(|| format!("field `{key}` missing or not a nonnegative integer"))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("field `{key}` missing or not a number"))
-}
-
-fn f64_array(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    v.get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("field `{key}` missing or not an array"))?
-        .iter()
-        .map(|x| x.as_f64().ok_or_else(|| format!("`{key}` entry is not a number")))
-        .collect()
 }
 
 /// A resumable snapshot of a serial synthesis campaign.
@@ -251,81 +146,70 @@ pub struct CampaignCheckpoint {
     pub records: Vec<TrialRecord>,
 }
 
+const KIND: &str = "cold-campaign-checkpoint";
+
+/// The JSON document of a [`CampaignCheckpoint`].
+#[derive(Serialize, Deserialize)]
+struct Document {
+    kind: String,
+    version: u64,
+    config: ColdConfig,
+    master_seed: u64,
+    count: usize,
+    records: Vec<TrialRecord>,
+}
+
 impl CampaignCheckpoint {
-    /// Converts the snapshot into its JSON object form.
-    pub fn to_value(&self) -> Value {
-        json!({
-            "kind": "cold-campaign-checkpoint",
-            "version": 1u64,
-            "config": self.config.to_json_value(),
-            "master_seed": self.master_seed,
-            "count": self.count,
-            "records": Value::Array(self.records.iter().map(TrialRecord::to_value).collect()),
-        })
+    /// Serializes the snapshot as one JSON document.
+    pub fn to_json(&self) -> String {
+        let doc = Document {
+            kind: KIND.into(),
+            version: 1,
+            config: self.config,
+            master_seed: self.master_seed,
+            count: self.count,
+            records: self.records.clone(),
+        };
+        serde_json::to_string(&doc).expect("Value serialization is infallible")
     }
 
-    /// Parses and schema-validates a snapshot.
+    /// Parses and schema-validates a snapshot from JSON text.
     ///
     /// # Errors
-    /// [`ColdError::Checkpoint`] describing the first violated rule.
-    pub fn from_value(v: &Value) -> Result<Self, ColdError> {
-        let fail = |why: String| ColdError::Checkpoint(why);
+    /// [`ColdError::Checkpoint`] for invalid JSON or the first violated
+    /// rule.
+    pub fn from_json(text: &str) -> Result<Self, ColdError> {
+        let fail = ColdError::Checkpoint;
+        let v: Value =
+            serde_json::from_str(text).map_err(|e| fail(format!("invalid JSON: {e}")))?;
         match v.get("kind").and_then(Value::as_str) {
-            Some("cold-campaign-checkpoint") => {}
+            Some(KIND) => {}
             Some(other) => return Err(fail(format!("not a campaign checkpoint (kind `{other}`)"))),
             None => return Err(fail("not a campaign checkpoint (missing `kind`)".into())),
         }
-        match v.get("version").and_then(Value::as_u64) {
-            Some(1) => {}
-            other => {
-                return Err(fail(format!("unsupported campaign checkpoint version {other:?}")))
-            }
+        let doc = Document::from_json_value(&v).map_err(|e| fail(e.to_string()))?;
+        if doc.version != 1 {
+            return Err(fail(format!("unsupported campaign checkpoint version {}", doc.version)));
         }
-        let config = v
-            .get("config")
-            .and_then(ColdConfig::from_json_value)
-            .ok_or_else(|| fail("field `config` missing or malformed".into()))?;
-        let master_seed = v
-            .get("master_seed")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| fail("field `master_seed` missing".into()))?;
-        let count = usize_field(v, "count").map_err(fail)?;
-        let mut records = Vec::new();
-        for (i, r) in v
-            .get("records")
-            .and_then(Value::as_array)
-            .ok_or_else(|| fail("field `records` missing or not an array".into()))?
-            .iter()
-            .enumerate()
-        {
-            let record = TrialRecord::from_value(r).map_err(fail)?;
-            if record.trial != i {
-                return Err(fail(format!(
-                    "records must be the contiguous prefix 0..: slot {i} holds trial {}",
-                    record.trial
-                )));
-            }
-            records.push(record);
+        if let Some((i, r)) = doc.records.iter().enumerate().find(|(i, r)| r.trial != *i) {
+            return Err(fail(format!(
+                "records must be the contiguous prefix 0..: slot {i} holds trial {}",
+                r.trial
+            )));
         }
-        if records.len() > count {
-            return Err(fail(format!("{} records exceed campaign size {count}", records.len())));
+        if doc.records.len() > doc.count {
+            return Err(fail(format!(
+                "{} records exceed campaign size {}",
+                doc.records.len(),
+                doc.count
+            )));
         }
-        Ok(Self { config, master_seed, count, records })
-    }
-
-    /// Serializes the snapshot as one JSON document.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.to_value()).expect("Value serialization is infallible")
-    }
-
-    /// Parses a snapshot from JSON text.
-    ///
-    /// # Errors
-    /// [`ColdError::Checkpoint`] for invalid JSON or schema violations.
-    pub fn from_json(text: &str) -> Result<Self, ColdError> {
-        let v: Value = serde_json::from_str(text)
-            .map_err(|e| ColdError::Checkpoint(format!("invalid JSON: {e}")))?;
-        Self::from_value(&v)
+        Ok(Self {
+            config: doc.config,
+            master_seed: doc.master_seed,
+            count: doc.count,
+            records: doc.records,
+        })
     }
 
     /// Writes the snapshot atomically: the document lands in a temp file

@@ -136,12 +136,12 @@ impl Penalty for Rewiring<'_> {
 
 /// One perturbation of an [`EvolutionPlan`].
 ///
-/// JSON form is `"kind"`-tagged (hand-rolled — the vendored serde derive
-/// has no tag attribute): `{"kind":"add_pop","count":2}`,
+/// JSON form is `"kind"`-tagged: `{"kind":"add_pop","count":2}`,
 /// `{"kind":"scale_traffic","factor":1.5}`,
 /// `{"kind":"cost_change","k2":4e-4}` (absent `k*` keys leave the
 /// component unchanged).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum PlanStep {
     /// Append `count` new PoPs (locations and populations sampled from
     /// the base context model) and rebuild the gravity matrix.
@@ -157,12 +157,16 @@ pub enum PlanStep {
     /// Override cost parameters; `None` leaves a component unchanged.
     CostChange {
         /// New link-existence cost `k0`.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         k0: Option<f64>,
         /// New per-length cost `k1`.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         k1: Option<f64>,
         /// New bandwidth-distance cost `k2`.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         k2: Option<f64>,
         /// New hub cost `k3`.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         k3: Option<f64>,
     },
 }
@@ -178,85 +182,20 @@ impl PlanStep {
     }
 }
 
-impl Serialize for PlanStep {
-    fn to_json_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("kind".into(), Value::String(self.kind().into()));
-        match self {
-            PlanStep::AddPop { count } => {
-                m.insert("count".into(), count.to_json_value());
-            }
-            PlanStep::ScaleTraffic { factor } => {
-                m.insert("factor".into(), factor.to_json_value());
-            }
-            PlanStep::CostChange { k0, k1, k2, k3 } => {
-                for (name, v) in [("k0", k0), ("k1", k1), ("k2", k2), ("k3", k3)] {
-                    if let Some(v) = v {
-                        m.insert(name.into(), v.to_json_value());
-                    }
-                }
-            }
-        }
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for PlanStep {
-    fn from_json_value(v: &Value) -> Option<Self> {
-        let obj = v.as_object()?;
-        match obj.get("kind")?.as_str()? {
-            "add_pop" => Some(PlanStep::AddPop { count: obj.get("count")?.as_u64()? as usize }),
-            "scale_traffic" => {
-                Some(PlanStep::ScaleTraffic { factor: obj.get("factor")?.as_f64()? })
-            }
-            "cost_change" => {
-                let field = |name: &str| -> Option<Option<f64>> {
-                    match obj.get(name) {
-                        None | Some(Value::Null) => Some(None),
-                        Some(v) => v.as_f64().map(Some),
-                    }
-                };
-                Some(PlanStep::CostChange {
-                    k0: field("k0")?,
-                    k1: field("k1")?,
-                    k2: field("k2")?,
-                    k3: field("k3")?,
-                })
-            }
-            _ => None,
-        }
-    }
-}
-
 /// A sequence of perturbations applied to a base configuration, each
 /// followed by a warm-started re-synthesis.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvolutionPlan {
     /// The configuration step 0 synthesizes cold.
     pub base: ColdConfig,
     /// Master seed; every step derives its streams from it.
     pub seed: u64,
-    /// Rewiring prices charged on every warm step.
+    /// Rewiring prices charged on every warm step; may be omitted (a
+    /// penalty-free plan).
+    #[serde(default)]
     pub change_costs: ChangeCosts,
     /// The perturbations, applied in order.
     pub steps: Vec<PlanStep>,
-}
-
-impl Deserialize for EvolutionPlan {
-    fn from_json_value(v: &Value) -> Option<Self> {
-        let obj = v.as_object()?;
-        // `change_costs` may be omitted (penalty-free plan).
-        let change_costs = match obj.get("change_costs") {
-            None | Some(Value::Null) => ChangeCosts::default(),
-            Some(v) => ChangeCosts::from_json_value(v)?,
-        };
-        Some(Self {
-            base: ColdConfig::from_json_value(obj.get("base")?)?,
-            seed: obj.get("seed")?.as_u64()?,
-            change_costs,
-            steps: Vec::from_json_value(obj.get("steps")?)?,
-        })
-    }
 }
 
 impl EvolutionPlan {

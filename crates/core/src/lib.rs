@@ -99,7 +99,8 @@ pub mod synthesizer;
 pub mod zoo;
 
 pub use checkpoint::{
-    drive_campaign, run_campaign_controlled, CampaignCheckpoint, CampaignControl, TrialRecord,
+    drive_campaign, run_campaign_controlled, CampaignCheckpoint, CampaignControl, HeuristicCost,
+    TrialRecord,
 };
 pub use cold_ga::StopReason;
 pub use error::ColdError;

@@ -72,7 +72,7 @@ fn ga_snapshot_resumes_bit_identically_in_a_separate_process() {
         serde_json::to_string(&serde_json::json!({
             "config": config.to_json_value(),
             "seed": seed,
-            "snapshot": snapshot.to_value(),
+            "snapshot": snapshot,
         }))
         .expect("input serializes"),
     )

@@ -9,17 +9,19 @@
 //! integration test): the RNG continues mid-stream and the restored
 //! cache reproduces the same hit/miss sequence.
 //!
-//! Serialization uses the vendored `serde_json` only, as one JSON object
-//! (see DESIGN.md §10 for the schema). Cache entries are sorted by
+//! The derived `serde` codec of a private `Document` is the JSON form
+//! (see DESIGN.md §10 for the schema). Topologies travel as
+//! [`EdgeList`]s and become matrices only after their node count has
+//! been checked against the run's, and cache entries are sorted by
 //! chromosome so the serialized form is deterministic.
 
 use crate::chromosome::Individual;
 use crate::engine::EvalStats;
 use crate::repair::RepairStats;
 use crate::settings::GaSettings;
-use cold_graph::AdjacencyMatrix;
-use serde::{Deserialize as _, Serialize as _};
-use serde_json::{json, Value};
+use cold_graph::{AdjacencyMatrix, EdgeList};
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 /// A resumable snapshot of a GA run after a completed generation.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,208 +50,154 @@ pub struct GaCheckpoint {
     pub cache: Option<Vec<(AdjacencyMatrix, f64)>>,
 }
 
-/// Serializes a chromosome as `{"n": …, "edges": [[u, v], …]}`.
-fn topology_to_value(t: &AdjacencyMatrix) -> Value {
-    let edges: Vec<Value> =
-        t.edges().map(|(u, v)| Value::Array(vec![json!(u), json!(v)])).collect();
-    json!({ "n": t.n(), "edges": Value::Array(edges) })
+const KIND: &str = "cold-ga-checkpoint";
+
+/// The JSON document of a [`GaCheckpoint`].
+#[derive(Serialize, Deserialize)]
+struct Document {
+    kind: String,
+    version: u64,
+    settings: GaSettings,
+    generation: usize,
+    rng_state: [u64; 4],
+    population: Vec<Entry>,
+    history: Vec<f64>,
+    eval_stats: Counters,
+    repair_stats: RepairStats,
+    cache: Option<Vec<Entry>>,
 }
 
-/// Parses a chromosome serialized by [`topology_to_value`].
-fn topology_from_value(v: &Value) -> Result<AdjacencyMatrix, String> {
-    let n =
-        v.get("n").and_then(Value::as_u64).ok_or("topology: field `n` missing or not an integer")?
-            as usize;
-    let edges = v
-        .get("edges")
-        .and_then(Value::as_array)
-        .ok_or("topology: field `edges` missing or not an array")?;
-    let mut pairs = Vec::with_capacity(edges.len());
-    for e in edges {
-        let pair = e.as_array().filter(|p| p.len() == 2).ok_or("topology: edge is not a pair")?;
-        let u = pair[0].as_u64().ok_or("topology: edge endpoint not an integer")? as usize;
-        let v = pair[1].as_u64().ok_or("topology: edge endpoint not an integer")? as usize;
-        pairs.push((u, v));
+/// One chromosome with its cost.
+#[derive(Serialize, Deserialize)]
+struct Entry {
+    topology: EdgeList,
+    cost: f64,
+}
+
+impl Entry {
+    fn of(topology: &AdjacencyMatrix, cost: f64) -> Self {
+        Self { topology: EdgeList::of(topology), cost }
     }
-    AdjacencyMatrix::from_edges(n, &pairs).map_err(|e| format!("topology: {e:?}"))
+
+    fn decode(&self, n: usize) -> Result<(AdjacencyMatrix, f64), String> {
+        let t = self.topology.to_matrix(n).map_err(|e| format!("topology: {e:?}"))?;
+        Ok((t, self.cost))
+    }
 }
 
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("field `{key}` missing or not a number"))
+/// The checkpointed [`EvalStats`] counters. The delta/full split is
+/// in-memory telemetry only: resumed runs restart it at zero alongside
+/// the fresh sessions.
+#[derive(Serialize, Deserialize)]
+struct Counters {
+    requested: usize,
+    cache_hits: usize,
+    cache_misses: usize,
+    eval_seconds: f64,
 }
 
-fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .map(|u| u as usize)
-        .ok_or_else(|| format!("field `{key}` missing or not a nonnegative integer"))
+impl Serialize for GaCheckpoint {
+    fn to_json_value(&self) -> Value {
+        let cache = self.cache.as_ref().map(|entries| {
+            // Deterministic serialization: the engine's HashMap has no
+            // stable order, so sort by chromosome bits.
+            let mut sorted: Vec<&(AdjacencyMatrix, f64)> = entries.iter().collect();
+            sorted.sort_by(|a, b| {
+                a.0.edge_count().cmp(&b.0.edge_count()).then_with(|| a.0.edges().cmp(b.0.edges()))
+            });
+            sorted.into_iter().map(|(t, c)| Entry::of(t, *c)).collect()
+        });
+        let es = &self.eval_stats;
+        Document {
+            kind: KIND.into(),
+            version: 1,
+            settings: self.settings,
+            generation: self.generation,
+            rng_state: self.rng_state,
+            population: self.population.iter().map(|i| Entry::of(&i.topology, i.cost)).collect(),
+            history: self.history.clone(),
+            eval_stats: Counters {
+                requested: es.requested,
+                cache_hits: es.cache_hits,
+                cache_misses: es.cache_misses,
+                eval_seconds: es.eval_seconds,
+            },
+            repair_stats: self.repair_stats,
+            cache,
+        }
+        .to_json_value()
+    }
 }
 
 impl GaCheckpoint {
-    /// Converts the snapshot into its JSON object form.
-    pub fn to_value(&self) -> Value {
-        let population: Vec<Value> = self
-            .population
-            .iter()
-            .map(|ind| json!({ "topology": topology_to_value(&ind.topology), "cost": ind.cost }))
-            .collect();
-        let cache = match &self.cache {
-            None => Value::Null,
-            Some(entries) => {
-                // Deterministic serialization: the engine's HashMap has no
-                // stable order, so sort by chromosome bits.
-                let mut sorted: Vec<&(AdjacencyMatrix, f64)> = entries.iter().collect();
-                sorted.sort_by(|a, b| {
-                    a.0.edge_count()
-                        .cmp(&b.0.edge_count())
-                        .then_with(|| a.0.edges().cmp(b.0.edges()))
-                });
-                Value::Array(
-                    sorted
-                        .into_iter()
-                        .map(|(t, c)| json!({ "topology": topology_to_value(t), "cost": *c }))
-                        .collect(),
-                )
-            }
-        };
-        json!({
-            "kind": "cold-ga-checkpoint",
-            "version": 1u64,
-            "settings": self.settings.to_json_value(),
-            "generation": self.generation,
-            "rng_state": Value::Array(self.rng_state.iter().map(|&w| json!(w)).collect()),
-            "population": Value::Array(population),
-            "history": Value::Array(self.history.iter().map(|&h| json!(h)).collect()),
-            "eval_stats": {
-                "requested": self.eval_stats.requested,
-                "cache_hits": self.eval_stats.cache_hits,
-                "cache_misses": self.eval_stats.cache_misses,
-                "eval_seconds": self.eval_stats.eval_seconds,
-            },
-            "repair_stats": {
-                "repaired": self.repair_stats.repaired,
-                "inspected": self.repair_stats.inspected,
-                "links_added": self.repair_stats.links_added,
-            },
-            "cache": cache,
-        })
-    }
-
-    /// Parses a snapshot back from its JSON object form, validating the
-    /// schema.
+    /// Parses a snapshot of an `n`-node run from its JSON object form,
+    /// validating the schema. Every topology must have exactly `n`
+    /// nodes; that is checked before any matrix is allocated, so a
+    /// hostile document cannot make the decoder allocate `n²` bits for
+    /// an `n` of its choosing.
     ///
     /// # Errors
     /// A human-readable description of the first violated rule.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
+    pub fn from_value(v: &Value, n: usize) -> Result<Self, String> {
         match v.get("kind").and_then(Value::as_str) {
-            Some("cold-ga-checkpoint") => {}
+            Some(KIND) => {}
             Some(other) => return Err(format!("not a GA checkpoint (kind `{other}`)")),
             None => return Err("not a GA checkpoint (missing `kind`)".into()),
         }
-        match v.get("version").and_then(Value::as_u64) {
-            Some(1) => {}
-            other => return Err(format!("unsupported GA checkpoint version {other:?}")),
+        let doc = Document::from_json_value(v).map_err(|e| e.to_string())?;
+        if doc.version != 1 {
+            return Err(format!("unsupported GA checkpoint version {}", doc.version));
         }
-        let settings = v
-            .get("settings")
-            .and_then(GaSettings::from_json_value)
-            .ok_or("field `settings` missing or malformed")?;
-        let rng_words = v
-            .get("rng_state")
-            .and_then(Value::as_array)
-            .filter(|a| a.len() == 4)
-            .ok_or("field `rng_state` must be a 4-element array")?;
-        let mut rng_state = [0u64; 4];
-        for (slot, w) in rng_state.iter_mut().zip(rng_words) {
-            *slot = w.as_u64().ok_or("rng_state word is not a u64")?;
+        if doc.history.len().checked_sub(1) != Some(doc.generation) {
+            return Err(format!(
+                "generation {} disagrees with history length {}",
+                doc.generation,
+                doc.history.len()
+            ));
         }
-        let mut population = Vec::new();
-        for ind in v
-            .get("population")
-            .and_then(Value::as_array)
-            .ok_or("field `population` missing or not an array")?
-        {
-            let topology =
-                topology_from_value(ind.get("topology").ok_or("population entry: no topology")?)?;
-            let cost = f64_field(ind, "cost")?;
-            population.push(Individual { topology, cost });
+        if doc.population.is_empty() {
+            return Err("population is empty".into());
         }
-        let mut history = Vec::new();
-        for h in v
-            .get("history")
-            .and_then(Value::as_array)
-            .ok_or("field `history` missing or not an array")?
-        {
-            history.push(h.as_f64().ok_or("history entry is not a number")?);
-        }
-        let es = v.get("eval_stats").ok_or("field `eval_stats` missing")?;
-        let eval_stats = EvalStats {
-            requested: usize_field(es, "requested")?,
-            cache_hits: usize_field(es, "cache_hits")?,
-            cache_misses: usize_field(es, "cache_misses")?,
-            eval_seconds: f64_field(es, "eval_seconds")?,
-            // The delta/full split is in-memory telemetry only: resumed
-            // runs restart it at zero alongside the fresh sessions.
-            ..EvalStats::default()
+        let population = doc
+            .population
+            .iter()
+            .map(|e| e.decode(n).map(|(topology, cost)| Individual { topology, cost }))
+            .collect::<Result<_, _>>()?;
+        let cache = match &doc.cache {
+            Some(entries) => Some(entries.iter().map(|e| e.decode(n)).collect::<Result<_, _>>()?),
+            None => None,
         };
-        let rs = v.get("repair_stats").ok_or("field `repair_stats` missing")?;
-        let repair_stats = RepairStats {
-            repaired: usize_field(rs, "repaired")?,
-            inspected: usize_field(rs, "inspected")?,
-            links_added: usize_field(rs, "links_added")?,
-        };
-        let cache = match v.get("cache") {
-            None | Some(Value::Null) => None,
-            Some(Value::Array(entries)) => {
-                let mut out = Vec::with_capacity(entries.len());
-                for e in entries {
-                    let t =
-                        topology_from_value(e.get("topology").ok_or("cache entry: no topology")?)?;
-                    out.push((t, f64_field(e, "cost")?));
-                }
-                Some(out)
-            }
-            Some(_) => return Err("field `cache` must be null or an array".into()),
-        };
+        let es = doc.eval_stats;
         Ok(Self {
-            settings,
-            generation: history.len().checked_sub(1).ok_or("history must be nonempty")?,
-            rng_state,
+            settings: doc.settings,
+            generation: doc.generation,
+            rng_state: doc.rng_state,
             population,
-            history,
-            eval_stats,
-            repair_stats,
+            history: doc.history,
+            eval_stats: EvalStats {
+                requested: es.requested,
+                cache_hits: es.cache_hits,
+                cache_misses: es.cache_misses,
+                eval_seconds: es.eval_seconds,
+                ..EvalStats::default()
+            },
+            repair_stats: doc.repair_stats,
             cache,
-        })
-        .and_then(|ckpt| {
-            let claimed = usize_field(v, "generation")?;
-            if claimed != ckpt.generation {
-                return Err(format!(
-                    "generation {claimed} disagrees with history length {}",
-                    ckpt.history.len()
-                ));
-            }
-            if ckpt.population.is_empty() {
-                return Err("population is empty".into());
-            }
-            Ok(ckpt)
         })
     }
 
     /// Serializes the snapshot as one JSON document.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.to_value()).expect("Value serialization is infallible")
+        serde_json::to_string(self).expect("Value serialization is infallible")
     }
 
-    /// Parses a snapshot from JSON text.
+    /// Parses a snapshot of an `n`-node run from JSON text.
     ///
     /// # Errors
     /// Invalid JSON or schema violations, as a human-readable string.
-    pub fn from_json(text: &str) -> Result<Self, String> {
+    pub fn from_json(text: &str, n: usize) -> Result<Self, String> {
         let v: Value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        Self::from_value(&v)
+        Self::from_value(&v, n)
     }
 
     /// Persists the snapshot to `path` atomically: the JSON is written to
@@ -275,17 +223,18 @@ impl GaCheckpoint {
             .map_err(|e| GaError::Checkpoint(format!("{}: rename failed: {e}", path.display())))
     }
 
-    /// Loads a snapshot saved by [`save`](Self::save).
+    /// Loads a snapshot of an `n`-node run saved by [`save`](Self::save).
     ///
     /// # Errors
     /// [`crate::GaError::Checkpoint`] naming `path`: unreadable file, invalid
     /// JSON (truncated/garbage documents included), or schema violations.
     /// Never panics on corrupt input.
-    pub fn load(path: &std::path::Path) -> Result<Self, crate::GaError> {
+    pub fn load(path: &std::path::Path, n: usize) -> Result<Self, crate::GaError> {
         use crate::GaError;
         let text = std::fs::read_to_string(path)
             .map_err(|e| GaError::Checkpoint(format!("{}: read failed: {e}", path.display())))?;
-        Self::from_json(&text).map_err(|e| GaError::Checkpoint(format!("{}: {e}", path.display())))
+        Self::from_json(&text, n)
+            .map_err(|e| GaError::Checkpoint(format!("{}: {e}", path.display())))
     }
 }
 
@@ -320,7 +269,7 @@ mod tests {
     #[test]
     fn round_trips_bit_exactly() {
         let ckpt = sample();
-        let back = GaCheckpoint::from_json(&ckpt.to_json()).expect("round trip");
+        let back = GaCheckpoint::from_json(&ckpt.to_json(), 4).expect("round trip");
         assert_eq!(back.settings, ckpt.settings);
         assert_eq!(back.generation, ckpt.generation);
         assert_eq!(back.rng_state, ckpt.rng_state, "full-width u64 state must survive JSON");
@@ -357,14 +306,38 @@ mod tests {
 
     #[test]
     fn corrupt_documents_are_rejected() {
-        assert!(GaCheckpoint::from_json("").is_err());
-        assert!(GaCheckpoint::from_json("{}").is_err());
-        assert!(GaCheckpoint::from_json("{\"kind\":\"other\"}").is_err());
+        assert!(GaCheckpoint::from_json("", 4).is_err());
+        assert!(GaCheckpoint::from_json("{}", 4).is_err());
+        assert!(GaCheckpoint::from_json("{\"kind\":\"other\"}", 4).is_err());
         let good = sample().to_json();
         // Truncation must not validate.
-        assert!(GaCheckpoint::from_json(&good[..good.len() / 2]).is_err());
+        assert!(GaCheckpoint::from_json(&good[..good.len() / 2], 4).is_err());
         // A generation/history mismatch must not validate.
         let tampered = good.replace("\"generation\":2", "\"generation\":9");
-        assert!(GaCheckpoint::from_json(&tampered).is_err());
+        assert!(GaCheckpoint::from_json(&tampered, 4).is_err());
+    }
+
+    #[test]
+    fn node_count_is_checked_before_any_matrix_is_allocated() {
+        let good = sample().to_json();
+        assert!(GaCheckpoint::from_json(&good, 4).is_ok());
+        // A snapshot of a different run size is refused, not reshaped.
+        let err = GaCheckpoint::from_json(&good, 6).unwrap_err();
+        assert!(err.contains("SizeMismatch"), "{err}");
+        // A hostile node count must fail fast: decoding it as a matrix
+        // would ask the allocator for ~10^18 bytes and abort the process.
+        let hostile = good.replacen("\"n\":4", "\"n\":5000000000", 1);
+        assert_ne!(hostile, good);
+        let err = GaCheckpoint::from_json(&hostile, 4).unwrap_err();
+        assert!(err.contains("5000000000"), "{err}");
+    }
+
+    #[test]
+    fn decode_errors_name_the_offending_field() {
+        let good = sample().to_json();
+        let bad = good.replacen("\"cost\":12.5", "\"cost\":\"cheap\"", 1);
+        assert_ne!(bad, good);
+        let err = GaCheckpoint::from_json(&bad, 4).unwrap_err();
+        assert!(err.contains("population[0].cost"), "{err}");
     }
 }

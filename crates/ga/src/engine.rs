@@ -36,7 +36,8 @@ pub struct CheckpointHook<'a> {
 ///
 /// Serialized as a lowercase snake_case string (`"completed"`,
 /// `"early_stopped"`, `"stalled"`) in trial records and journals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum StopReason {
     /// All `generations` ran (or the run was resumed past them).
     Completed,
@@ -58,14 +59,10 @@ impl StopReason {
         }
     }
 
-    /// Parses a wire name produced by [`as_str`](Self::as_str).
+    /// Parses a wire name produced by [`as_str`](Self::as_str) (the
+    /// derived codec's variant names).
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "completed" => Some(StopReason::Completed),
-            "early_stopped" => Some(StopReason::EarlyStopped),
-            "stalled" => Some(StopReason::Stalled),
-            _ => None,
-        }
+        serde::Deserialize::from_json_value(&serde_json::Value::String(s.into())).ok()
     }
 }
 
@@ -102,7 +99,7 @@ pub struct GaResult {
 /// misses depend only on the (deterministic) sequence of evaluated
 /// topologies, so they are identical between serial and parallel runs with
 /// the same seed; only `eval_seconds` is wall-clock and machine-dependent.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EvalStats {
     /// Costs requested across the run.
     pub requested: usize,
@@ -120,11 +117,14 @@ pub struct EvalStats {
     /// cache_misses`. Unlike the cache counters, the split may vary with
     /// `settings.parallel` and thread count — which session sees which
     /// candidate is a scheduling detail — while every returned cost stays
-    /// bit-identical. Not serialized into checkpoints: a resumed run
-    /// restarts both counters at zero.
+    /// bit-identical. Not serialized into GA checkpoints: a resumed run
+    /// restarts both counters at zero. Absent from trial records written
+    /// before the split existed, which decode it as zero.
+    #[serde(default)]
     pub delta_evals: usize,
     /// Cache misses answered by a full from-scratch evaluation (stateless
     /// objectives count every miss here).
+    #[serde(default)]
     pub full_evals: usize,
 }
 
@@ -1078,7 +1078,7 @@ mod tests {
         for snap in snaps {
             // Round-trip through JSON first: resuming from the *serialized*
             // form is what the integration path exercises.
-            let restored = GaCheckpoint::from_json(&snap.to_json()).unwrap();
+            let restored = GaCheckpoint::from_json(&snap.to_json(), 8).unwrap();
             let resumed = ga.run_resumable(&[], None, None, Some(restored)).unwrap();
             assert_results_bit_identical(&uninterrupted, &resumed);
         }
@@ -1208,7 +1208,7 @@ mod tests {
         ga.run_resumable(&[], None, Some(hook), None).unwrap();
         assert!(snaps.len() >= 2, "expected snapshots at generations 2 and 4");
         for snap in snaps {
-            let restored = GaCheckpoint::from_json(&snap.to_json()).unwrap();
+            let restored = GaCheckpoint::from_json(&snap.to_json(), 6).unwrap();
             let resumed = ga.run_resumable(&[], None, None, Some(restored)).unwrap();
             assert_results_bit_identical(&uninterrupted, &resumed);
         }
@@ -1254,7 +1254,7 @@ mod tests {
         ga.run_warm(&parent, None, Some(hook), None).unwrap();
         assert!(!snaps.is_empty());
         for snap in snaps {
-            let restored = GaCheckpoint::from_json(&snap.to_json()).unwrap();
+            let restored = GaCheckpoint::from_json(&snap.to_json(), 8).unwrap();
             let resumed = ga.run_warm(&parent, None, None, Some(restored)).unwrap();
             assert_results_bit_identical(&uninterrupted, &resumed);
         }
@@ -1277,20 +1277,20 @@ mod tests {
         let (_, snaps) = run_with_checkpoints(&ga, 10);
         let snap = snaps.into_iter().next().unwrap();
         snap.save(&path).unwrap();
-        let back = GaCheckpoint::load(&path).unwrap();
+        let back = GaCheckpoint::load(&path, 8).unwrap();
         // Cache entry order is HashMap-dependent in the live snapshot;
         // the serialized form is the canonical (sorted) one.
         assert_eq!(back.to_json(), snap.to_json());
         // Corrupt documents surface as typed errors that name the path.
         std::fs::write(&path, &snap.to_json()[..40]).unwrap();
-        let err = GaCheckpoint::load(&path).unwrap_err();
+        let err = GaCheckpoint::load(&path, 8).unwrap_err();
         match err {
             GaError::Checkpoint(msg) => {
                 assert!(msg.contains("snap.json"), "error must name the path: {msg}");
             }
             other => panic!("expected Checkpoint, got {other:?}"),
         }
-        let missing = GaCheckpoint::load(&dir.join("absent.json")).unwrap_err();
+        let missing = GaCheckpoint::load(&dir.join("absent.json"), 8).unwrap_err();
         assert!(matches!(missing, GaError::Checkpoint(m) if m.contains("absent.json")));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -17,7 +17,7 @@ use cold_graph::mst::join_components;
 use cold_graph::AdjacencyMatrix;
 
 /// Statistics about repair activity over a GA run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RepairStats {
     /// Offspring that needed repair.
     pub repaired: usize,

@@ -285,6 +285,42 @@ impl std::fmt::Debug for AdjacencyMatrix {
     }
 }
 
+/// The serialized form of a topology, `{"n": …, "edges": [[u, v], …]}`
+/// — the one topology codec shared by GA checkpoints, trial records and
+/// everything that ships them over the wire.
+///
+/// Decoding allocates only the edge list. The `n × n` matrix is built by
+/// [`EdgeList::to_matrix`], which first checks `n` against the node count
+/// the caller expects, so a document claiming billions of nodes is
+/// rejected before it reaches the allocator.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct EdgeList {
+    /// Node count.
+    pub n: usize,
+    /// Edges `(u, v)` with `u < v`, ascending.
+    pub edges: Vec<(usize, usize)>,
+}
+
+impl EdgeList {
+    /// The edge list of `t`.
+    pub fn of(t: &AdjacencyMatrix) -> Self {
+        Self { n: t.n(), edges: t.edges().collect() }
+    }
+
+    /// Builds the matrix, provided the list has exactly `n` nodes.
+    ///
+    /// # Errors
+    /// [`GraphError::SizeMismatch`] when the node count is not `n`
+    /// (checked before allocating), else as
+    /// [`AdjacencyMatrix::from_edges`].
+    pub fn to_matrix(&self, n: usize) -> Result<AdjacencyMatrix> {
+        if self.n != n {
+            return Err(GraphError::SizeMismatch { expected: n, actual: self.n });
+        }
+        AdjacencyMatrix::from_edges(n, &self.edges)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,5 +458,19 @@ mod tests {
         let m1 = AdjacencyMatrix::empty(1);
         assert_eq!(m1.pair_count(), 0);
         assert_eq!(m1.degrees(), vec![0]);
+    }
+
+    #[test]
+    fn edge_list_checks_the_node_count_before_allocating() {
+        let t = AdjacencyMatrix::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let list = EdgeList::of(&t);
+        assert_eq!(list.to_matrix(4).unwrap(), t);
+        let huge = EdgeList { n: 5_000_000_000, edges: Vec::new() };
+        assert_eq!(
+            huge.to_matrix(4),
+            Err(GraphError::SizeMismatch { expected: 4, actual: 5_000_000_000 })
+        );
+        let bad = EdgeList { n: 4, edges: vec![(1, 9)] };
+        assert!(bad.to_matrix(4).is_err());
     }
 }

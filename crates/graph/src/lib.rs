@@ -46,7 +46,7 @@ pub mod shortest_path;
 pub mod subgraphs;
 pub mod union_find;
 
-pub use adjacency::AdjacencyMatrix;
+pub use adjacency::{AdjacencyMatrix, EdgeList};
 pub use components::{connected_components, is_connected, ComponentLabels};
 pub use graph::Graph;
 pub use union_find::UnionFind;

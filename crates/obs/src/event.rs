@@ -4,12 +4,15 @@
 //! with a string `"event"` discriminator. The schema (documented in
 //! DESIGN.md §9) is deliberately flat — every field is a JSON number,
 //! string or array — so any log tooling can consume it without knowing
-//! this crate. [`Event::to_value`] / [`Event::from_value`] convert
-//! to/from the vendored `serde_json` tree, and [`parse_journal`] is the
-//! shared validator used by the round-trip tests, the `journal-check`
-//! binary and the CI smoke test.
+//! this crate. The derived `serde` impls are the codec: [`Event`] is
+//! internally tagged on `"event"` and each payload struct's fields are
+//! the line's keys. The one hand-written piece is the `metrics` entry
+//! list (see [`MetricsEvent`]). [`parse_journal`] is the shared validator
+//! used by the round-trip tests, the `journal-check` binary and the CI
+//! smoke test.
 
-use serde_json::{json, Map, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 
 /// Per-generation observations handed to a [`GenerationObserver`].
 ///
@@ -17,9 +20,10 @@ use serde_json::{json, Map, Value};
 /// counters count this generation's activity, not run totals. The record
 /// is computed read-only from engine state after selection, so observing
 /// a run cannot change its result (see DESIGN.md §9).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GenerationRecord {
-    /// 1-based index of the completed generation.
+    /// 1-based index of the completed generation (`"gen"` in journals).
+    #[serde(rename = "gen")]
     pub generation: usize,
     /// Best (lowest) cost in the surviving population.
     pub best: f64,
@@ -71,7 +75,7 @@ pub trait GenerationObserver {
 }
 
 /// Start-of-run marker.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunStart {
     /// Run identifier (the synthesis seed, as 16 lowercase hex digits).
     pub run: String,
@@ -86,16 +90,17 @@ pub struct RunStart {
 }
 
 /// One generation of one run (a [`GenerationRecord`] tagged with its run).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GenerationEvent {
     /// Run identifier matching the enclosing [`RunStart::run`].
     pub run: String,
-    /// The per-generation observations.
+    /// The per-generation observations, inline in the journal line.
+    #[serde(flatten)]
     pub record: GenerationRecord,
 }
 
 /// End-of-run summary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunEnd {
     /// Run identifier.
     pub run: String,
@@ -114,7 +119,7 @@ pub struct RunEnd {
 }
 
 /// A completed coarse phase (synthesize / ensemble / sweep).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanEvent {
     /// Span name, e.g. `"core.synthesize"`.
     pub name: String,
@@ -126,17 +131,91 @@ pub struct SpanEvent {
 /// span id is anchored in the journal before any of its children — which
 /// is what keeps `parent_id` resolution valid even when a crash truncates
 /// the journal before the closing [`SpanEvent`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanStartEvent {
     /// Span name, e.g. `"core.campaign"`.
     pub name: String,
 }
 
 /// A registry snapshot, usually emitted once at process exit.
+///
+/// Hand-written encoder: each entry is `{"name", "kind", …}`, with the
+/// tuple variants of [`Metric`](crate::Metric) under a `"kind"` tag that
+/// follows the name — a shape the derive cannot express.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsEvent {
     /// `(name, metric)` pairs sorted by name.
     pub metrics: Vec<(String, crate::Metric)>,
+}
+
+impl Serialize for MetricsEvent {
+    fn to_json_value(&self) -> Value {
+        use crate::Metric;
+        let entry = |(name, m): &(String, Metric)| match *m {
+            Metric::Counter(c) => json!({ "name": name, "kind": "counter", "count": c }),
+            Metric::Gauge(g) => json!({ "name": name, "kind": "gauge", "value": g }),
+            Metric::FloatGauge(g) => json!({ "name": name, "kind": "float_gauge", "value": g }),
+            Metric::Histogram { count, sum, min, max, buckets } => json!({
+                "name": name,
+                "kind": "histogram",
+                "count": count,
+                "sum": sum,
+                "min": min,
+                "max": max,
+                "buckets": buckets,
+            }),
+        };
+        json!({ "metrics": self.metrics.iter().map(entry).collect::<Vec<_>>() })
+    }
+}
+
+/// The decode side of one `metrics` entry (key order is free there).
+#[derive(Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
+enum MetricEntry {
+    Counter {
+        name: String,
+        count: u64,
+    },
+    Gauge {
+        name: String,
+        value: i64,
+    },
+    FloatGauge {
+        name: String,
+        value: f64,
+    },
+    Histogram {
+        name: String,
+        count: u64,
+        sum: f64,
+        min: f64,
+        max: f64,
+        buckets: [u64; crate::registry::BUCKETS],
+    },
+}
+
+impl Deserialize for MetricsEvent {
+    fn from_json_value(v: &Value) -> Result<Self, serde::Error> {
+        use crate::Metric;
+        #[derive(Deserialize)]
+        struct Entries {
+            metrics: Vec<MetricEntry>,
+        }
+        let metrics = Entries::from_json_value(v)?
+            .metrics
+            .into_iter()
+            .map(|e| match e {
+                MetricEntry::Counter { name, count } => (name, Metric::Counter(count)),
+                MetricEntry::Gauge { name, value } => (name, Metric::Gauge(value)),
+                MetricEntry::FloatGauge { name, value } => (name, Metric::FloatGauge(value)),
+                MetricEntry::Histogram { name, count, sum, min, max, buckets } => {
+                    (name, Metric::Histogram { count, sum, min, max, buckets })
+                }
+            })
+            .collect();
+        Ok(Self { metrics })
+    }
 }
 
 /// One ensemble/sweep trial failed (panicked or returned an error).
@@ -144,7 +223,7 @@ pub struct MetricsEvent {
 /// A resilient ensemble records the failure and keeps going; this event
 /// is the durable audit trail of what went wrong and whether the retry
 /// recovered it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialFailed {
     /// Zero-based index of the trial within its ensemble.
     pub trial: usize,
@@ -157,7 +236,7 @@ pub struct TrialFailed {
 }
 
 /// A campaign checkpoint was written.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointEvent {
     /// Path the snapshot was (atomically) written to.
     pub path: String,
@@ -170,7 +249,7 @@ pub struct CheckpointEvent {
 /// A trial overran its wall-clock deadline and was abandoned by the
 /// watchdog. Always accompanied by a `trial_failed` event for the same
 /// `(trial, attempt)` — this event carries the guard-specific context.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialDeadlineExceeded {
     /// Zero-based index of the trial within its ensemble/campaign.
     pub trial: usize,
@@ -184,7 +263,7 @@ pub struct TrialDeadlineExceeded {
 
 /// A GA run was terminated by the stall detector: `stall_gens`
 /// generations passed without strict best-fitness improvement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GaStalled {
     /// Run identifier (the synthesis seed, as 16 lowercase hex digits).
     pub run: String,
@@ -198,7 +277,7 @@ pub struct GaStalled {
 
 /// A `cold-fault` injection site fired. Chaos-run journals carry one of
 /// these per injected fault, making the chaos schedule auditable.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultInjected {
     /// The injection-site name (e.g. `"eval.nan"`).
     pub site: String,
@@ -207,7 +286,7 @@ pub struct FaultInjected {
 }
 
 /// A synthesis job entered the `cold-serve` queue.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobSubmitted {
     /// Content-addressed job id (16 hex digits — the canonical config
     /// fingerprint, see `cold::job_fingerprint`).
@@ -221,7 +300,7 @@ pub struct JobSubmitted {
 }
 
 /// A `cold-serve` worker picked a job up from the queue.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobStarted {
     /// Content-addressed job id.
     pub id: String,
@@ -232,7 +311,7 @@ pub struct JobStarted {
 }
 
 /// A `cold-serve` job completed and its result entered the cache.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobDone {
     /// Content-addressed job id.
     pub id: String,
@@ -244,7 +323,7 @@ pub struct JobDone {
 
 /// A `cold-serve` job failed (synthesis error, worker panic, or a lost
 /// trial after the salted retry).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobFailed {
     /// Content-addressed job id.
     pub id: String,
@@ -254,7 +333,7 @@ pub struct JobFailed {
 
 /// A `cold-serve` submission was answered from the content-addressed
 /// result cache (or coalesced onto an identical in-flight job).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheHit {
     /// Content-addressed job id.
     pub id: String,
@@ -264,7 +343,7 @@ pub struct CacheHit {
 }
 
 /// A remote worker registered with the distributed coordinator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerJoined {
     /// The worker's self-reported name (unique per pool).
     pub worker: String,
@@ -272,7 +351,7 @@ pub struct WorkerJoined {
 
 /// A remote worker was evicted after missing its heartbeat window (or
 /// said goodbye while still holding leases).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerLost {
     /// The evicted worker's name.
     pub worker: String,
@@ -284,7 +363,7 @@ pub struct WorkerLost {
 
 /// The coordinator granted a trial lease to a worker (or to itself, for
 /// the zero-worker local fallback).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialLeased {
     /// Content-addressed job id the trial belongs to.
     pub id: String,
@@ -303,7 +382,7 @@ pub struct TrialLeased {
 /// the new lease carries the trial's last mid-GA checkpoint and resumes
 /// bit-identically from it; `0` means no checkpoint existed yet and the
 /// trial restarts from scratch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialMigrated {
     /// Content-addressed job id the trial belongs to.
     pub id: String,
@@ -324,7 +403,7 @@ pub struct TrialMigrated {
 /// warm-started re-optimization after a context perturbation). Emitted by
 /// the core evolution driver; `run` ties the step to the plan's master
 /// seed so a journal can be sliced per plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvolutionStep {
     /// Plan identifier (the plan's master seed, as 16 lowercase hex).
     pub run: String,
@@ -347,7 +426,7 @@ pub struct EvolutionStep {
 /// population from the parent job's cached result; `parent` must resolve
 /// against an id seen earlier in the journal (enforced by
 /// `journal-check`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WarmStart {
     /// Content-addressed id of the warm-started job (or run).
     pub id: String,
@@ -358,7 +437,8 @@ pub struct WarmStart {
 }
 
 /// Any line of a run journal.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "event", rename_all = "snake_case")]
 pub enum Event {
     /// `{"event":"run_start",...}`
     RunStart(RunStart),
@@ -440,412 +520,10 @@ impl Event {
         }
     }
 
-    /// Converts the event into its JSON object form.
-    pub fn to_value(&self) -> Value {
-        match self {
-            Event::RunStart(e) => json!({
-                "event": "run_start",
-                "run": e.run,
-                "n": e.n,
-                "mode": e.mode,
-                "generations": e.generations,
-                "population": e.population,
-            }),
-            Event::Generation(e) => {
-                let r = &e.record;
-                json!({
-                    "event": "generation",
-                    "run": e.run,
-                    "gen": r.generation,
-                    "best": r.best,
-                    "mean": r.mean,
-                    "worst": r.worst,
-                    "diversity": r.diversity,
-                    "cache_hits": r.cache_hits,
-                    "cache_misses": r.cache_misses,
-                    "delta_evals": r.delta_evals,
-                    "full_evals": r.full_evals,
-                    "crossover": r.crossover,
-                    "mutation": r.mutation,
-                    "repairs": r.repairs,
-                    "eval_seconds": r.eval_seconds,
-                    "breed_seconds": r.breed_seconds,
-                    "repair_seconds": r.repair_seconds,
-                    "hypervolume": r.hypervolume,
-                })
-            }
-            Event::RunEnd(e) => json!({
-                "event": "run_end",
-                "run": e.run,
-                "generations_run": e.generations_run,
-                "best_cost": e.best_cost,
-                "evaluations": e.evaluations,
-                "cache_hit_rate": e.cache_hit_rate,
-                "eval_seconds": e.eval_seconds,
-                "repair_rate": e.repair_rate,
-            }),
-            Event::Span(e) => json!({
-                "event": "span",
-                "name": e.name,
-                "seconds": e.seconds,
-            }),
-            Event::SpanStart(e) => json!({
-                "event": "span_start",
-                "name": e.name,
-            }),
-            Event::Metrics(e) => {
-                let metrics: Vec<Value> = e
-                    .metrics
-                    .iter()
-                    .map(|(name, m)| match *m {
-                        crate::Metric::Counter(c) => json!({
-                            "name": name,
-                            "kind": "counter",
-                            "count": c,
-                        }),
-                        crate::Metric::Gauge(g) => json!({
-                            "name": name,
-                            "kind": "gauge",
-                            "value": g,
-                        }),
-                        crate::Metric::FloatGauge(g) => json!({
-                            "name": name,
-                            "kind": "float_gauge",
-                            "value": g,
-                        }),
-                        crate::Metric::Histogram { count, sum, min, max, buckets } => json!({
-                            "name": name,
-                            "kind": "histogram",
-                            "count": count,
-                            "sum": sum,
-                            "min": min,
-                            "max": max,
-                            "buckets": buckets.to_vec(),
-                        }),
-                    })
-                    .collect();
-                json!({ "event": "metrics", "metrics": metrics })
-            }
-            Event::TrialFailed(e) => json!({
-                "event": "trial_failed",
-                "trial": e.trial,
-                "attempt": e.attempt,
-                "seed": e.seed,
-                "error": e.error,
-            }),
-            Event::Checkpoint(e) => json!({
-                "event": "checkpoint",
-                "path": e.path,
-                "completed": e.completed,
-                "total": e.total,
-            }),
-            Event::TrialDeadlineExceeded(e) => json!({
-                "event": "trial_deadline_exceeded",
-                "trial": e.trial,
-                "attempt": e.attempt,
-                "seed": e.seed,
-                "seconds": e.seconds,
-            }),
-            Event::GaStalled(e) => json!({
-                "event": "ga_stalled",
-                "run": e.run,
-                "generation": e.generation,
-                "stall_gens": e.stall_gens,
-                "best": e.best,
-            }),
-            Event::FaultInjected(e) => json!({
-                "event": "fault_injected",
-                "site": e.site,
-                "hit": e.hit,
-            }),
-            Event::JobSubmitted(e) => json!({
-                "event": "job_submitted",
-                "id": e.id,
-                "n": e.n,
-                "count": e.count,
-                "seed": e.seed,
-            }),
-            Event::JobStarted(e) => json!({
-                "event": "job_started",
-                "id": e.id,
-                "resumed": e.resumed,
-            }),
-            Event::JobDone(e) => json!({
-                "event": "job_done",
-                "id": e.id,
-                "trials": e.trials,
-                "seconds": e.seconds,
-            }),
-            Event::JobFailed(e) => json!({
-                "event": "job_failed",
-                "id": e.id,
-                "error": e.error,
-            }),
-            Event::CacheHit(e) => json!({
-                "event": "cache_hit",
-                "id": e.id,
-                "kind": e.kind,
-            }),
-            Event::WorkerJoined(e) => json!({
-                "event": "worker_joined",
-                "worker": e.worker,
-            }),
-            Event::WorkerLost(e) => json!({
-                "event": "worker_lost",
-                "worker": e.worker,
-                "leases": e.leases,
-            }),
-            Event::TrialLeased(e) => json!({
-                "event": "trial_leased",
-                "id": e.id,
-                "trial": e.trial,
-                "lease": e.lease,
-                "worker": e.worker,
-                "attempt": e.attempt,
-            }),
-            Event::TrialMigrated(e) => json!({
-                "event": "trial_migrated",
-                "id": e.id,
-                "trial": e.trial,
-                "lease": e.lease,
-                "from_worker": e.from_worker,
-                "to_worker": e.to_worker,
-                "resumed_generation": e.resumed_generation,
-            }),
-            Event::EvolutionStep(e) => json!({
-                "event": "evolution_step",
-                "run": e.run,
-                "step": e.step,
-                "kind": e.kind,
-                "n": e.n,
-                "best_cost": e.best_cost,
-                "generations": e.generations,
-            }),
-            Event::WarmStart(e) => json!({
-                "event": "warm_start",
-                "id": e.id,
-                "parent": e.parent,
-                "seeds": e.seeds,
-            }),
-        }
-    }
-
     /// Serializes the event as one compact JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        serde_json::to_string(&self.to_value()).expect("Value serialization is infallible")
+        serde_json::to_string(self).expect("Value serialization is infallible")
     }
-
-    /// Parses an event back from its JSON object form, validating the
-    /// schema: the discriminator must be known and every documented field
-    /// present with the right JSON type.
-    ///
-    /// # Errors
-    /// A human-readable description of the first violated rule.
-    pub fn from_value(v: &Value) -> Result<Event, String> {
-        let obj = v.as_object().ok_or("event line is not a JSON object")?;
-        let kind = str_field(obj, "event")?;
-        match kind.as_str() {
-            "run_start" => Ok(Event::RunStart(RunStart {
-                run: str_field(obj, "run")?,
-                n: usize_field(obj, "n")?,
-                mode: str_field(obj, "mode")?,
-                generations: usize_field(obj, "generations")?,
-                population: usize_field(obj, "population")?,
-            })),
-            "generation" => Ok(Event::Generation(GenerationEvent {
-                run: str_field(obj, "run")?,
-                record: GenerationRecord {
-                    generation: usize_field(obj, "gen")?,
-                    best: f64_field(obj, "best")?,
-                    mean: f64_field(obj, "mean")?,
-                    worst: f64_field(obj, "worst")?,
-                    diversity: f64_field(obj, "diversity")?,
-                    cache_hits: usize_field(obj, "cache_hits")?,
-                    cache_misses: usize_field(obj, "cache_misses")?,
-                    delta_evals: usize_field(obj, "delta_evals")?,
-                    full_evals: usize_field(obj, "full_evals")?,
-                    crossover: usize_field(obj, "crossover")?,
-                    mutation: usize_field(obj, "mutation")?,
-                    repairs: usize_field(obj, "repairs")?,
-                    eval_seconds: f64_field(obj, "eval_seconds")?,
-                    breed_seconds: f64_field(obj, "breed_seconds")?,
-                    repair_seconds: f64_field(obj, "repair_seconds")?,
-                    hypervolume: f64_field(obj, "hypervolume")?,
-                },
-            })),
-            "run_end" => Ok(Event::RunEnd(RunEnd {
-                run: str_field(obj, "run")?,
-                generations_run: usize_field(obj, "generations_run")?,
-                best_cost: f64_field(obj, "best_cost")?,
-                evaluations: usize_field(obj, "evaluations")?,
-                cache_hit_rate: f64_field(obj, "cache_hit_rate")?,
-                eval_seconds: f64_field(obj, "eval_seconds")?,
-                repair_rate: f64_field(obj, "repair_rate")?,
-            })),
-            "span" => Ok(Event::Span(SpanEvent {
-                name: str_field(obj, "name")?,
-                seconds: f64_field(obj, "seconds")?,
-            })),
-            "span_start" => Ok(Event::SpanStart(SpanStartEvent { name: str_field(obj, "name")? })),
-            "metrics" => {
-                let arr = obj
-                    .get("metrics")
-                    .and_then(Value::as_array)
-                    .ok_or("metrics event: field `metrics` missing or not an array")?;
-                let mut metrics = Vec::with_capacity(arr.len());
-                for m in arr {
-                    let mo = m.as_object().ok_or("metrics entry is not an object")?;
-                    let name = str_field(mo, "name")?;
-                    let metric = match str_field(mo, "kind")?.as_str() {
-                        "counter" => crate::Metric::Counter(u64_field(mo, "count")?),
-                        "gauge" => crate::Metric::Gauge(
-                            mo.get("value")
-                                .and_then(Value::as_i64)
-                                .ok_or("gauge entry: field `value` missing or not an integer")?,
-                        ),
-                        "float_gauge" => crate::Metric::FloatGauge(f64_field(mo, "value")?),
-                        "histogram" => {
-                            let arr = mo.get("buckets").and_then(Value::as_array).ok_or(
-                                "histogram entry: field `buckets` missing or not an array",
-                            )?;
-                            if arr.len() != crate::registry::BUCKETS {
-                                return Err(format!(
-                                    "histogram entry: expected {} buckets, got {}",
-                                    crate::registry::BUCKETS,
-                                    arr.len()
-                                ));
-                            }
-                            let mut buckets = [0u64; crate::registry::BUCKETS];
-                            for (slot, v) in buckets.iter_mut().zip(arr) {
-                                *slot = v
-                                    .as_u64()
-                                    .ok_or("histogram bucket is not a nonnegative integer")?;
-                            }
-                            crate::Metric::Histogram {
-                                count: u64_field(mo, "count")?,
-                                sum: f64_field(mo, "sum")?,
-                                min: f64_field(mo, "min")?,
-                                max: f64_field(mo, "max")?,
-                                buckets,
-                            }
-                        }
-                        other => return Err(format!("unknown metric kind `{other}`")),
-                    };
-                    metrics.push((name, metric));
-                }
-                Ok(Event::Metrics(MetricsEvent { metrics }))
-            }
-            "trial_failed" => Ok(Event::TrialFailed(TrialFailed {
-                trial: usize_field(obj, "trial")?,
-                attempt: usize_field(obj, "attempt")?,
-                seed: u64_field(obj, "seed")?,
-                error: str_field(obj, "error")?,
-            })),
-            "checkpoint" => Ok(Event::Checkpoint(CheckpointEvent {
-                path: str_field(obj, "path")?,
-                completed: usize_field(obj, "completed")?,
-                total: usize_field(obj, "total")?,
-            })),
-            "trial_deadline_exceeded" => Ok(Event::TrialDeadlineExceeded(TrialDeadlineExceeded {
-                trial: usize_field(obj, "trial")?,
-                attempt: usize_field(obj, "attempt")?,
-                seed: u64_field(obj, "seed")?,
-                seconds: f64_field(obj, "seconds")?,
-            })),
-            "ga_stalled" => Ok(Event::GaStalled(GaStalled {
-                run: str_field(obj, "run")?,
-                generation: usize_field(obj, "generation")?,
-                stall_gens: usize_field(obj, "stall_gens")?,
-                best: f64_field(obj, "best")?,
-            })),
-            "fault_injected" => Ok(Event::FaultInjected(FaultInjected {
-                site: str_field(obj, "site")?,
-                hit: u64_field(obj, "hit")?,
-            })),
-            "job_submitted" => Ok(Event::JobSubmitted(JobSubmitted {
-                id: str_field(obj, "id")?,
-                n: usize_field(obj, "n")?,
-                count: usize_field(obj, "count")?,
-                seed: u64_field(obj, "seed")?,
-            })),
-            "job_started" => Ok(Event::JobStarted(JobStarted {
-                id: str_field(obj, "id")?,
-                resumed: usize_field(obj, "resumed")?,
-            })),
-            "job_done" => Ok(Event::JobDone(JobDone {
-                id: str_field(obj, "id")?,
-                trials: usize_field(obj, "trials")?,
-                seconds: f64_field(obj, "seconds")?,
-            })),
-            "job_failed" => Ok(Event::JobFailed(JobFailed {
-                id: str_field(obj, "id")?,
-                error: str_field(obj, "error")?,
-            })),
-            "cache_hit" => Ok(Event::CacheHit(CacheHit {
-                id: str_field(obj, "id")?,
-                kind: str_field(obj, "kind")?,
-            })),
-            "worker_joined" => {
-                Ok(Event::WorkerJoined(WorkerJoined { worker: str_field(obj, "worker")? }))
-            }
-            "worker_lost" => Ok(Event::WorkerLost(WorkerLost {
-                worker: str_field(obj, "worker")?,
-                leases: usize_field(obj, "leases")?,
-            })),
-            "trial_leased" => Ok(Event::TrialLeased(TrialLeased {
-                id: str_field(obj, "id")?,
-                trial: usize_field(obj, "trial")?,
-                lease: str_field(obj, "lease")?,
-                worker: str_field(obj, "worker")?,
-                attempt: usize_field(obj, "attempt")?,
-            })),
-            "trial_migrated" => Ok(Event::TrialMigrated(TrialMigrated {
-                id: str_field(obj, "id")?,
-                trial: usize_field(obj, "trial")?,
-                lease: str_field(obj, "lease")?,
-                from_worker: str_field(obj, "from_worker")?,
-                to_worker: str_field(obj, "to_worker")?,
-                resumed_generation: usize_field(obj, "resumed_generation")?,
-            })),
-            "evolution_step" => Ok(Event::EvolutionStep(EvolutionStep {
-                run: str_field(obj, "run")?,
-                step: usize_field(obj, "step")?,
-                kind: str_field(obj, "kind")?,
-                n: usize_field(obj, "n")?,
-                best_cost: f64_field(obj, "best_cost")?,
-                generations: usize_field(obj, "generations")?,
-            })),
-            "warm_start" => Ok(Event::WarmStart(WarmStart {
-                id: str_field(obj, "id")?,
-                parent: str_field(obj, "parent")?,
-                seeds: usize_field(obj, "seeds")?,
-            })),
-            other => Err(format!("unknown event kind `{other}`")),
-        }
-    }
-}
-
-fn str_field(obj: &Map, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("field `{key}` missing or not a string"))
-}
-
-fn usize_field(obj: &Map, key: &str) -> Result<usize, String> {
-    u64_field(obj, key).map(|u| u as usize)
-}
-
-fn u64_field(obj: &Map, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("field `{key}` missing or not a nonnegative integer"))
-}
-
-fn f64_field(obj: &Map, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("field `{key}` missing or not a number"))
 }
 
 /// Parses and schema-validates a whole JSONL journal.
@@ -860,7 +538,7 @@ pub fn parse_journal(text: &str) -> Result<Vec<Event>, String> {
     for (i, line) in text.lines().enumerate() {
         let value: Value =
             serde_json::from_str(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
-        let event = Event::from_value(&value).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let event = Event::from_json_value(&value).map_err(|e| format!("line {}: {e}", i + 1))?;
         events.push(event);
     }
     if events.is_empty() {
@@ -883,7 +561,7 @@ pub fn parse_journal_traced(
     for (i, line) in text.lines().enumerate() {
         let value: Value =
             serde_json::from_str(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
-        let event = Event::from_value(&value).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let event = Event::from_json_value(&value).map_err(|e| format!("line {}: {e}", i + 1))?;
         let fields = crate::trace::TraceFields::from_value(&value)
             .map_err(|e| format!("line {}: {e}", i + 1))?;
         out.push((event, fields));
@@ -1036,7 +714,7 @@ mod tests {
         for event in sample_events() {
             let line = event.to_json_line();
             let value: Value = serde_json::from_str(&line).expect("line parses as JSON");
-            let back = Event::from_value(&value).expect("schema validates");
+            let back = Event::from_json_value(&value).expect("schema validates");
             assert_eq!(back, event, "round-trip changed the event");
         }
     }
@@ -1084,7 +762,7 @@ mod tests {
     #[test]
     fn traced_parsing_extracts_the_envelope() {
         let plain = Event::Span(SpanEvent { name: "s".into(), seconds: 0.0 }).to_json_line();
-        let mut value = Event::SpanStart(SpanStartEvent { name: "s".into() }).to_value();
+        let mut value = Event::SpanStart(SpanStartEvent { name: "s".into() }).to_json_value();
         let Value::Object(obj) = &mut value else { panic!("events serialize to objects") };
         obj.insert("trace_id".into(), Value::String("00000000000000aa".into()));
         obj.insert("span_id".into(), Value::String("00000000000000bb".into()));

@@ -219,7 +219,7 @@ fn emit_stamped(event: &Event, ctx: Option<&trace::TraceCtx>) {
 /// into the top-level object.
 fn stamped_line(event: &Event, ctx: Option<&trace::TraceCtx>) -> String {
     let Some(ctx) = ctx else { return event.to_json_line() };
-    let mut value = event.to_value();
+    let mut value = serde::Serialize::to_json_value(event);
     if let serde_json::Value::Object(obj) = &mut value {
         obj.insert("trace_id".into(), serde_json::Value::String(ctx.trace_id.clone()));
         obj.insert("span_id".into(), serde_json::Value::String(ctx.span_id.clone()));

@@ -13,10 +13,7 @@ use std::process::Output;
 fn write_journal(name: &str, events: &[Event]) -> PathBuf {
     let path =
         std::env::temp_dir().join(format!("journal-check-cli-{}-{name}.jsonl", std::process::id()));
-    let lines: Vec<String> = events
-        .iter()
-        .map(|e| serde_json::to_string(&e.to_value()).expect("event serializes"))
-        .collect();
+    let lines: Vec<String> = events.iter().map(Event::to_json_line).collect();
     std::fs::write(&path, lines.join("\n") + "\n").expect("write journal");
     path
 }

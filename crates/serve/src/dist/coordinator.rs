@@ -32,7 +32,7 @@ use cold::{
     fingerprint_hex, trial_seed, value_fingerprint, CampaignCheckpoint, ColdConfig, ColdError,
     ProgressSink, RunControl, RunMode, SynthesisResult, TrialRecord,
 };
-use serde::Serialize;
+use serde::{Deserialize as _, Serialize};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
@@ -178,6 +178,9 @@ struct JobShard {
     /// Canonical JSON form of the job's `ColdConfig`, shipped verbatim
     /// in every grant.
     config_value: Value,
+    /// Node count of the job's networks; every uploaded GA snapshot is
+    /// decoded against it.
+    n: usize,
     master_seed: u64,
     /// Trace context of the owning job — lease/migration events join
     /// the same distributed trace the job's other events live in.
@@ -475,24 +478,32 @@ impl DistPool {
     }
 
     fn handle_checkpoint(&self, worker: &str, lease: &str, snapshot: Value) -> Msg {
-        let parsed = match cold::ga::GaCheckpoint::from_value(&snapshot) {
+        // Resolve the lease before decoding, so the snapshot is checked
+        // against the job's node count instead of being sized by itself.
+        let (job, trial, n) = {
+            let mut st = self.state.lock().expect("dist pool poisoned");
+            if let Some(w) = st.workers.get_mut(worker) {
+                w.last_beat = Instant::now();
+            }
+            // An upload for an expired/unknown lease is not an error — the
+            // trial moved on; the worker's eventual result upload dedups.
+            let held = st.leases.get(lease).filter(|l| l.worker == worker);
+            let Some((job, trial)) = held.map(|l| (l.job.clone(), l.trial)) else {
+                return Msg::CheckpointOk;
+            };
+            let Some(n) = st.jobs.get(&job).map(|s| s.n) else {
+                return Msg::CheckpointOk;
+            };
+            (job, trial, n)
+        };
+        let parsed = match cold::ga::GaCheckpoint::from_value(&snapshot, n) {
             Ok(c) => c,
             Err(why) => return Msg::Error { message: format!("bad checkpoint: {why}") },
         };
         let mut st = self.state.lock().expect("dist pool poisoned");
-        if let Some(w) = st.workers.get_mut(worker) {
-            w.last_beat = Instant::now();
-        }
-        // An upload for an expired/unknown lease is not an error — the
-        // trial moved on; the worker's eventual result upload dedups.
-        let (job, trial) = match st.leases.get(lease) {
-            Some(l) if l.worker == worker => (l.job.clone(), l.trial),
-            _ => return Msg::CheckpointOk,
-        };
-        let generation = parsed.generation;
         if let Some(l) = st.leases.get_mut(lease) {
             l.snapshot = Some(snapshot);
-            l.resumed_generation = generation;
+            l.resumed_generation = parsed.generation;
         }
         let path = st
             .jobs
@@ -552,7 +563,7 @@ impl DistPool {
         seed: u64,
         record: &Value,
     ) -> Msg {
-        let rec = match TrialRecord::from_value(record) {
+        let rec = match TrialRecord::from_json_value(record) {
             Ok(r) => r,
             Err(why) => return Msg::Error { message: format!("bad trial record: {why}") },
         };
@@ -768,6 +779,7 @@ impl DistPool {
         }
         let shard = JobShard {
             config_value: config.to_json_value(),
+            n: config.context.n,
             master_seed,
             trace: cold_obs::trace::current(),
             dir,
@@ -829,8 +841,10 @@ impl DistPool {
     /// Runs one trial inline on the coordinator (graceful degradation
     /// when the worker pool is empty).
     fn run_inline(&self, config: &ColdConfig, lease: Lease, progress: Option<ProgressSink>) {
-        let resume =
-            lease.snapshot.as_ref().and_then(|s| cold::ga::GaCheckpoint::from_value(s).ok());
+        let resume = lease
+            .snapshot
+            .as_ref()
+            .and_then(|s| cold::ga::GaCheckpoint::from_value(s, config.context.n).ok());
         let control = RunControl { progress, resume, ..RunControl::default() };
         let outcome = config.try_run(lease.seed, None, RunMode::Standard, control);
         let mut st = self.state.lock().expect("dist pool poisoned");
@@ -991,7 +1005,7 @@ mod tests {
             job: "job-a".into(),
             trial: 0,
             seed: grant.seed,
-            record: rec.to_value(),
+            record: rec.to_json_value(),
         };
         assert_eq!(pool.dispatch(upload.clone()), Msg::ResultOk { duplicate: false });
         assert_eq!(pool.dispatch(upload), Msg::ResultOk { duplicate: true }, "idempotent upload");
@@ -1099,7 +1113,7 @@ mod tests {
         // Produce a genuine mid-run snapshot by running the trial with a
         // checkpoint hook.
         let mut snaps: Vec<Value> = Vec::new();
-        let mut sink = |c: &cold::ga::GaCheckpoint| snaps.push(c.to_value());
+        let mut sink = |c: &cold::ga::GaCheckpoint| snaps.push(c.to_json_value());
         let hook = cold::ga::CheckpointHook { every: 2, sink: &mut sink };
         let control = RunControl { checkpoint: Some(hook), ..RunControl::default() };
         cfg.try_run(grant.seed, None, RunMode::Standard, control).expect("trial");
@@ -1147,7 +1161,7 @@ mod tests {
                                 job: g.job,
                                 trial: g.trial,
                                 seed: g.seed,
-                                record: rec.to_value(),
+                                record: rec.to_json_value(),
                             });
                         }
                         _ => thread::sleep(Duration::from_millis(10)),

@@ -14,8 +14,12 @@
 //! restartable and makes connection drops (including the injected
 //! `dist.conn_drop` fault) indistinguishable from any other lost
 //! exchange: the worker retries or the lease deadline reclaims the work.
+//!
+//! The derived `serde` codec of [`Msg`] is the frame body: an object
+//! tagged on `"type"` (see DESIGN.md §16.2).
 
-use serde_json::{json, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::io::{self, Read, Write};
 
 /// Upper bound on a single frame's payload. Generous enough for a GA
@@ -30,7 +34,7 @@ pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 /// Any I/O error from the underlying stream, or `InvalidData` if the
 /// encoded message exceeds [`MAX_FRAME_BYTES`].
 pub fn write_frame<W: Write>(stream: &mut W, msg: &Msg) -> io::Result<()> {
-    let body = serde_json::to_string(&msg.to_value())
+    let body = serde_json::to_string(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let bytes = body.as_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
@@ -65,9 +69,8 @@ pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Msg> {
     stream.read_exact(&mut body)?;
     let text = std::str::from_utf8(&body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-    let value: Value = serde_json::from_str(text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame JSON: {e}")))?;
-    Msg::from_value(&value).map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))
+    serde_json::from_str(text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}")))
 }
 
 /// One granted unit of work: run trial `trial` of job `job` with `seed`.
@@ -77,7 +80,7 @@ pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Msg> {
 /// needs no other state to execute it. `deadline_ms` tells the worker
 /// how long the coordinator will wait before reclaiming the lease;
 /// workers treat it as advisory (the coordinator enforces it).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LeaseGrant {
     /// Lease id: 16-hex fingerprint of `{job, trial, seed, attempt}`.
     pub lease: String,
@@ -100,47 +103,10 @@ pub struct LeaseGrant {
     pub trace_id: String,
     /// Mid-run GA snapshot from a previous holder of this trial, if one
     /// was uploaded before that worker died. Resuming from it is
-    /// bit-identical to never having been interrupted.
+    /// bit-identical to never having been interrupted. Travels as
+    /// `null` when absent.
+    #[serde(default)]
     pub snapshot: Option<Value>,
-}
-
-impl LeaseGrant {
-    fn to_value(&self) -> Value {
-        json!({
-            "type": "lease_grant",
-            "lease": self.lease,
-            "job": self.job,
-            "trial": self.trial,
-            "seed": self.seed,
-            "attempt": self.attempt,
-            "config": self.config,
-            "deadline_ms": self.deadline_ms,
-            "ckpt_every": self.ckpt_every,
-            "trace_id": self.trace_id,
-            "snapshot": match &self.snapshot {
-                Some(s) => s.clone(),
-                None => Value::Null,
-            },
-        })
-    }
-
-    fn from_value(v: &Value) -> Result<Self, String> {
-        Ok(Self {
-            lease: str_field(v, "lease")?,
-            job: str_field(v, "job")?,
-            trial: usize_field(v, "trial")?,
-            seed: u64_field(v, "seed")?,
-            attempt: usize_field(v, "attempt")?,
-            config: v.get("config").cloned().ok_or("lease_grant: `config` missing")?,
-            deadline_ms: u64_field(v, "deadline_ms")?,
-            ckpt_every: usize_field(v, "ckpt_every")?,
-            trace_id: str_field(v, "trace_id")?,
-            snapshot: match v.get("snapshot") {
-                None | Some(Value::Null) => None,
-                Some(s) => Some(s.clone()),
-            },
-        })
-    }
 }
 
 /// Every message either side can put on the wire.
@@ -150,7 +116,8 @@ impl LeaseGrant {
 /// `Bye`. Replies (coordinator -> worker): `HelloOk`, `HeartbeatOk`,
 /// `LeaseGrant` / `NoWork` / `Drain`, `CheckpointOk`, `ResultOk`,
 /// `ByeOk`, `Error`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum Msg {
     /// Worker registration (idempotent; re-sent after eviction).
     Hello {
@@ -176,6 +143,7 @@ pub enum Msg {
         worker: String,
     },
     /// Work granted.
+    #[serde(rename = "lease_grant")]
     Grant(LeaseGrant),
     /// Nothing runnable right now; retry after `backoff_ms`.
     NoWork {
@@ -243,125 +211,10 @@ pub enum Msg {
     },
 }
 
-impl Msg {
-    /// Converts the message into its tagged JSON object form.
-    pub fn to_value(&self) -> Value {
-        match self {
-            Msg::Hello { worker } => json!({"type": "hello", "worker": worker}),
-            Msg::HelloOk => json!({"type": "hello_ok"}),
-            Msg::Heartbeat { worker } => json!({"type": "heartbeat", "worker": worker}),
-            Msg::HeartbeatOk { drain } => json!({"type": "heartbeat_ok", "drain": drain}),
-            Msg::LeaseRequest { worker } => json!({"type": "lease_request", "worker": worker}),
-            Msg::Grant(grant) => grant.to_value(),
-            Msg::NoWork { backoff_ms } => json!({"type": "no_work", "backoff_ms": backoff_ms}),
-            Msg::Drain => json!({"type": "drain"}),
-            Msg::TrialCheckpoint { worker, lease, snapshot } => json!({
-                "type": "trial_checkpoint",
-                "worker": worker,
-                "lease": lease,
-                "snapshot": snapshot,
-            }),
-            Msg::CheckpointOk => json!({"type": "checkpoint_ok"}),
-            Msg::TrialResult { worker, lease, job, trial, seed, record } => json!({
-                "type": "trial_result",
-                "worker": worker,
-                "lease": lease,
-                "job": job,
-                "trial": trial,
-                "seed": seed,
-                "record": record,
-            }),
-            Msg::ResultOk { duplicate } => json!({"type": "result_ok", "duplicate": duplicate}),
-            Msg::TrialError { worker, lease, error } => json!({
-                "type": "trial_error",
-                "worker": worker,
-                "lease": lease,
-                "error": error,
-            }),
-            Msg::Bye { worker } => json!({"type": "bye", "worker": worker}),
-            Msg::ByeOk => json!({"type": "bye_ok"}),
-            Msg::Error { message } => json!({"type": "error", "message": message}),
-        }
-    }
-
-    /// Parses a message from its tagged JSON object form.
-    ///
-    /// # Errors
-    /// A human-readable description of the first violated rule.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let kind = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or("message: `type` missing or not a string")?;
-        match kind {
-            "hello" => Ok(Msg::Hello { worker: str_field(v, "worker")? }),
-            "hello_ok" => Ok(Msg::HelloOk),
-            "heartbeat" => Ok(Msg::Heartbeat { worker: str_field(v, "worker")? }),
-            "heartbeat_ok" => Ok(Msg::HeartbeatOk { drain: bool_field(v, "drain")? }),
-            "lease_request" => Ok(Msg::LeaseRequest { worker: str_field(v, "worker")? }),
-            "lease_grant" => Ok(Msg::Grant(LeaseGrant::from_value(v)?)),
-            "no_work" => Ok(Msg::NoWork { backoff_ms: u64_field(v, "backoff_ms")? }),
-            "drain" => Ok(Msg::Drain),
-            "trial_checkpoint" => Ok(Msg::TrialCheckpoint {
-                worker: str_field(v, "worker")?,
-                lease: str_field(v, "lease")?,
-                snapshot: v
-                    .get("snapshot")
-                    .cloned()
-                    .ok_or("trial_checkpoint: `snapshot` missing")?,
-            }),
-            "checkpoint_ok" => Ok(Msg::CheckpointOk),
-            "trial_result" => Ok(Msg::TrialResult {
-                worker: str_field(v, "worker")?,
-                lease: str_field(v, "lease")?,
-                job: str_field(v, "job")?,
-                trial: usize_field(v, "trial")?,
-                seed: u64_field(v, "seed")?,
-                record: v.get("record").cloned().ok_or("trial_result: `record` missing")?,
-            }),
-            "result_ok" => Ok(Msg::ResultOk { duplicate: bool_field(v, "duplicate")? }),
-            "trial_error" => Ok(Msg::TrialError {
-                worker: str_field(v, "worker")?,
-                lease: str_field(v, "lease")?,
-                error: str_field(v, "error")?,
-            }),
-            "bye" => Ok(Msg::Bye { worker: str_field(v, "worker")? }),
-            "bye_ok" => Ok(Msg::ByeOk),
-            "error" => Ok(Msg::Error { message: str_field(v, "message")? }),
-            other => Err(format!("unknown message type `{other}`")),
-        }
-    }
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("field `{key}` missing or not a string"))
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .map(|u| u as usize)
-        .ok_or_else(|| format!("field `{key}` missing or not a nonnegative integer"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("field `{key}` missing or not a nonnegative integer"))
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("field `{key}` missing or not a boolean"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
 
     fn round_trip(msg: Msg) {
         let mut buf: Vec<u8> = Vec::new();
@@ -431,9 +284,9 @@ mod tests {
             trace_id: "ab12cd34ef56ab78".into(),
             snapshot: None,
         };
-        let v = Msg::Grant(grant.clone()).to_value();
+        let v = Msg::Grant(grant.clone()).to_json_value();
         assert!(v.get("snapshot").expect("snapshot key").is_null());
-        assert_eq!(Msg::from_value(&v).expect("parse"), Msg::Grant(grant));
+        assert_eq!(Msg::from_json_value(&v).expect("parse"), Msg::Grant(grant));
     }
 
     #[test]

@@ -203,7 +203,7 @@ fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
     if cold_fault::armed() && cold_fault::should_fire("dist.worker_crash") {
         crash_if_armed("dist.worker_crash");
     }
-    let Some(job_config) = ColdConfig::from_json_value(&grant.config) else {
+    let Ok(job_config) = ColdConfig::from_json_value(&grant.config) else {
         let _ = exchange(
             &cfg.coordinator,
             &Msg::TrialError {
@@ -214,7 +214,10 @@ fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
         );
         return;
     };
-    let resume = grant.snapshot.as_ref().and_then(|s| cold::ga::GaCheckpoint::from_value(s).ok());
+    let resume = grant
+        .snapshot
+        .as_ref()
+        .and_then(|s| cold::ga::GaCheckpoint::from_value(s, job_config.context.n).ok());
     if let Some(r) = &resume {
         eprintln!(
             "[cold-serve] worker {} resuming job {} trial {} from generation {}",
@@ -231,7 +234,7 @@ fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
             &Msg::TrialCheckpoint {
                 worker: name.clone(),
                 lease: lease_id.clone(),
-                snapshot: ckpt.to_value(),
+                snapshot: serde_json::to_value(ckpt),
             },
         );
         // Crash *after* the upload: the injected stand-in for a worker
@@ -257,7 +260,7 @@ fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
                 job: grant.job.clone(),
                 trial: grant.trial,
                 seed: grant.seed,
-                record: record.to_value(),
+                record: serde_json::to_value(&record),
             };
             match exchange_retry(&cfg.coordinator, &upload, 3) {
                 Ok(Msg::ResultOk { duplicate }) => {

@@ -685,7 +685,7 @@ fn progress_sink(entry: &Arc<JobEntry>) -> ProgressSink {
                 run: run.clone(),
                 record: record.clone(),
             });
-            entry.publish(&serde_json::to_string(&event.to_value()).expect("record serializes"));
+            entry.publish(&event.to_json_line());
         }
     })
 }
@@ -863,8 +863,7 @@ fn load_parent_topology(
         }
     }
     let ckpt = CampaignCheckpoint::load(&cache.checkpoint_path(parent_id)).ok()?;
-    let rec = ckpt.records.first()?;
-    cold::graph::AdjacencyMatrix::from_edges(rec.n, &rec.edges).ok()
+    ckpt.records.first()?.topology.to_matrix(ckpt.config.context.n).ok()
 }
 
 /// Extracts the first `{n, links: [{source, target}]}` topology of a

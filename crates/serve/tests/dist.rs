@@ -11,6 +11,7 @@
 
 use cold::context::rng::derive_seed;
 use cold::ColdConfig;
+use cold_serve::dist::proto::{read_frame, write_frame, Msg};
 use cold_serve::http::client_request;
 use serde::Serialize as _;
 use serde_json::Value;
@@ -266,5 +267,82 @@ fn two_worker_ensemble_matches_local_run_and_drains() {
     term_and_reap(coordinator, "coordinator");
     term_and_reap(w1, "worker w1");
     term_and_reap(w2, "worker w2");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One request/reply exchange on a fresh connection, as a worker does.
+fn exchange(dist_addr: &str, msg: &Msg) -> Msg {
+    let mut stream = std::net::TcpStream::connect(dist_addr).expect("connect to coordinator");
+    write_frame(&mut stream, msg).expect("send frame");
+    read_frame(&mut stream).expect("reply frame")
+}
+
+/// A GA snapshot whose one chromosome claims `n` nodes: a few hundred
+/// bytes that, decoded as a matrix, would ask for ~n²/16 bytes.
+fn hostile_snapshot(n: u64) -> Value {
+    serde_json::json!({
+        "kind": "cold-ga-checkpoint",
+        "version": 1,
+        "settings": cold::ga::GaSettings::quick(0).to_json_value(),
+        "generation": 0,
+        "rng_state": [1, 2, 3, 4],
+        "population": [{"topology": {"n": n, "edges": []}, "cost": 1.0}],
+        "history": [1.0],
+        "eval_stats": {"requested": 1, "cache_hits": 0, "cache_misses": 1, "eval_seconds": 0.0},
+        "repair_stats": {"repaired": 0, "inspected": 0, "links_added": 0},
+        "cache": null,
+    })
+}
+
+/// A `trial_checkpoint` frame whose snapshot claims billions of nodes
+/// used to abort the coordinator inside the allocator. It must now be
+/// answered with an `error` frame while the service keeps serving.
+#[test]
+fn hostile_checkpoint_frame_is_rejected_and_the_coordinator_survives() {
+    let dir = temp_dir("hostile");
+    let (coordinator, http_addr, dist_addr) = spawn_coordinator(&dir, &[]);
+    let worker = "intruder".to_string();
+    assert_eq!(exchange(&dist_addr, &Msg::Hello { worker: worker.clone() }), Msg::HelloOk);
+
+    let config = ColdConfig::quick(8, 4e-4, 10.0);
+    let body = serde_json::to_string(&serde_json::json!({
+        "config": config.to_json_value(), "seed": 3, "count": 1,
+    }))
+    .expect("body serializes");
+    let resp = client_request(&http_addr, "POST", "/jobs", Some(&body)).expect("submit");
+    assert_eq!(resp.status, 202, "{}", resp.body);
+
+    let started = Instant::now();
+    let grant = loop {
+        match exchange(&dist_addr, &Msg::LeaseRequest { worker: worker.clone() }) {
+            Msg::Grant(g) => break g,
+            other => {
+                assert!(started.elapsed() < Duration::from_secs(15), "no lease: {other:?}");
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    };
+    for n in [5_000_000_000u64, 10_000_000] {
+        let reply = exchange(
+            &dist_addr,
+            &Msg::TrialCheckpoint {
+                worker: worker.clone(),
+                lease: grant.lease.clone(),
+                snapshot: hostile_snapshot(n),
+            },
+        );
+        let Msg::Error { message } = reply else {
+            panic!("expected an error frame, got {reply:?}")
+        };
+        assert!(
+            message.contains("bad checkpoint") && message.contains(&n.to_string()),
+            "{message}"
+        );
+        let health = client_request(&http_addr, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(health.status, 200, "{}", health.body);
+    }
+
+    assert_eq!(exchange(&dist_addr, &Msg::Bye { worker }), Msg::ByeOk);
+    term_and_reap(coordinator, "coordinator");
     let _ = std::fs::remove_dir_all(&dir);
 }
