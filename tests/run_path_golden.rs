@@ -5,7 +5,17 @@
 //! `heuristic_costs` of standard Initialized, standard GaOnly and warm
 //! (uniform unit change costs, warm-started from the standard result)
 //! runs, plus the front objectives, front topologies and
-//! `hypervolume_history` of a Pareto run with an archive of 8.
+//! `hypervolume_history` of a Pareto run with an archive of 8. Every
+//! digest also covers `generations_run`, `stop_reason`, the
+//! deterministic evaluation counters (`requested`, `cache_hits`,
+//! `cache_misses`) and the repair count (scalar runs expose it as
+//! `repair_rate`, a fixed-denominator ratio; Pareto runs as the sum of
+//! the per-generation `repairs`). The machine-dependent
+//! `delta_evals`/`full_evals` split is left out.
+//!
+//! The `*_guarded` variants rerun GaOnly and Pareto with both stop
+//! guards (`stall_gens`, `early_stop`), the pruned mutation universe
+//! (`mutation_neighbors`) and the fitness cache off.
 //!
 //! The expected values are FNV-1a digests over the raw IEEE bits, so any
 //! refactor of the run machinery that perturbs a single random draw or a
@@ -14,8 +24,11 @@
 //! `COLD_GOLDEN_PRINT=1` and copying the printed table.
 
 use cold::context::rng::derive_seed;
+use cold::ga::{EarlyStop, EvalStats, StopReason};
 use cold::graph::AdjacencyMatrix;
 use cold::{ChangeCosts, ColdConfig, RunControl, RunMode, SynthesisMode, SynthesisResult};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// 64-bit FNV-1a, fed field by field.
 struct Digest(u64);
@@ -35,6 +48,14 @@ impl Digest {
     }
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+    /// The run-shape fields every digest covers.
+    fn run(&mut self, generations_run: usize, stop_reason: StopReason, stats: &EvalStats) {
+        self.u64(generations_run as u64);
+        self.bytes(stop_reason.as_str().as_bytes());
+        self.u64(stats.requested as u64);
+        self.u64(stats.cache_hits as u64);
+        self.u64(stats.cache_misses as u64);
     }
     fn topology(&mut self, t: &AdjacencyMatrix) {
         self.u64(t.n() as u64);
@@ -57,11 +78,49 @@ fn scalar_digest(r: &SynthesisResult) -> u64 {
         d.bytes(name.as_bytes());
         d.f64(*cost);
     }
+    d.run(r.generations_run, r.stop_reason, &r.eval_stats);
+    d.f64(r.repair_rate);
+    d.0
+}
+
+fn pareto_digest(cfg: &ColdConfig, seed: u64) -> u64 {
+    let ctx = cfg.context.generate(derive_seed(seed, 0xC0));
+    let repairs = Arc::new(AtomicUsize::new(0));
+    let sum = Arc::clone(&repairs);
+    let progress: cold::ProgressSink = Arc::new(move |rec: &cold::ga::GenerationRecord| {
+        sum.fetch_add(rec.repairs, Ordering::Relaxed);
+    });
+    let pareto =
+        cold::try_synthesize_pareto_in_context(cfg, ctx, seed, 8, Some(progress)).expect("pareto");
+    let mut d = Digest::new();
+    d.u64(pareto.front.len() as u64);
+    for m in &pareto.front {
+        d.topology(&m.network.topology);
+        for &x in &m.objectives {
+            d.f64(x);
+        }
+    }
+    d.u64(pareto.hypervolume_history.len() as u64);
+    for &h in &pareto.hypervolume_history {
+        d.f64(h);
+    }
+    d.run(pareto.generations_run, pareto.stop_reason, &pareto.eval_stats);
+    d.u64(repairs.load(Ordering::Relaxed) as u64);
     d.0
 }
 
 fn config(mode: SynthesisMode) -> ColdConfig {
     ColdConfig { mode, ..ColdConfig::quick(12, 4e-4, 10.0) }
+}
+
+/// Both stop guards, the pruned mutation universe and no fitness cache.
+fn guarded(mode: SynthesisMode) -> ColdConfig {
+    let mut cfg = config(mode);
+    cfg.ga.stall_gens = Some(3);
+    cfg.ga.early_stop = Some(EarlyStop { window: 5, rel_tol: 1e-3 });
+    cfg.ga.mutation_neighbors = Some(6);
+    cfg.ga.fitness_cache = false;
+    cfg
 }
 
 /// `(label, seed, digest)` for every pinned run, in a fixed order.
@@ -86,40 +145,35 @@ fn digests() -> Vec<(&'static str, u64, u64)> {
         .expect("warm");
         out.push(("warm", seed, scalar_digest(&warm)));
 
-        let cfg = config(SynthesisMode::Initialized);
-        let ctx = cfg.context.generate(derive_seed(seed, 0xC0));
-        let pareto =
-            cold::try_synthesize_pareto_in_context(&cfg, ctx, seed, 8, None).expect("pareto");
-        let mut d = Digest::new();
-        d.u64(pareto.front.len() as u64);
-        for m in &pareto.front {
-            d.topology(&m.network.topology);
-            for &x in &m.objectives {
-                d.f64(x);
-            }
-        }
-        d.u64(pareto.hypervolume_history.len() as u64);
-        for &h in &pareto.hypervolume_history {
-            d.f64(h);
-        }
-        out.push(("pareto", seed, d.0));
+        out.push(("pareto", seed, pareto_digest(&config(SynthesisMode::Initialized), seed)));
+
+        let guarded_ga = guarded(SynthesisMode::GaOnly).try_synthesize(seed).expect("guarded");
+        out.push(("ga_only_guarded", seed, scalar_digest(&guarded_ga)));
+        let cfg = guarded(SynthesisMode::Initialized);
+        out.push(("pareto_guarded", seed, pareto_digest(&cfg, seed)));
     }
     out
 }
 
 const EXPECTED: &[(&str, u64, u64)] = &[
-    ("standard", 1, 0x81de6f26598d2634),
-    ("ga_only", 1, 0xd54180e9fd679ec1),
-    ("warm", 1, 0x1a177d190420c7a5),
-    ("pareto", 1, 0xf2bb43fe041fdebb),
-    ("standard", 2, 0xe4d5cd52a7cc5c0e),
-    ("ga_only", 2, 0xf5872517b1c6108e),
-    ("warm", 2, 0x676493ab5e55d829),
-    ("pareto", 2, 0x9249c36f5e28981c),
-    ("standard", 3, 0x1a0732da79fab5e1),
-    ("ga_only", 3, 0xb11c2e1b73f454a8),
-    ("warm", 3, 0xf7683e8e23bb403c),
-    ("pareto", 3, 0xaee80658111f3c27),
+    ("standard", 1, 0xda8a5eb7ed87e649),
+    ("ga_only", 1, 0x97ea3995088ab6b7),
+    ("warm", 1, 0xd8c892f727151c5b),
+    ("pareto", 1, 0x728c8801dc8f2fed),
+    ("ga_only_guarded", 1, 0x308eac944acd489a),
+    ("pareto_guarded", 1, 0x8f2de3cbe62db90c),
+    ("standard", 2, 0xd8ed9c105aecfd3c),
+    ("ga_only", 2, 0x0da02c7ec2de7229),
+    ("warm", 2, 0xa1faa2b168ac2455),
+    ("pareto", 2, 0xe41c9c1baaa2d297),
+    ("ga_only_guarded", 2, 0x50ddffef2b18db33),
+    ("pareto_guarded", 2, 0x5543c9292e6b59ee),
+    ("standard", 3, 0xc8c43d456f9204b5),
+    ("ga_only", 3, 0x065ef60dbd0c6ae8),
+    ("warm", 3, 0x9a42db6ea2f46de1),
+    ("pareto", 3, 0x2f65cda960be66ce),
+    ("ga_only_guarded", 3, 0x5621ac605a9a2129),
+    ("pareto_guarded", 3, 0x9ce8486db1b49341),
 ];
 
 #[test]
