@@ -20,8 +20,8 @@
 //!   "leaf-ification" ([`mutation`]);
 //! - disconnected offspring are repaired with an inter-component MST
 //!   ([`repair`], §4.1.3);
-//! - the generational loop with elitism and (optional, crossbeam-based)
-//!   parallel fitness evaluation lives in [`engine`].
+//! - one generational loop — elitism or NSGA-II survivor selection, and
+//!   (optional, crossbeam-based) parallel fitness evaluation — is [`engine`].
 //!
 //! The engine is generic over an [`Objective`] so alternative cost models
 //! (multi-AS interconnect costs, router-level objectives, …) plug in
@@ -100,18 +100,21 @@ pub trait Objective: Sync {
     /// precomputed geometry can override it with a cheaper/authoritative
     /// version.
     fn k_nearest(&self, k: usize) -> Vec<Vec<usize>> {
-        let n = self.n();
-        (0..n)
-            .map(|u| {
-                let mut others: Vec<usize> = (0..n).filter(|&v| v != u).collect();
-                others.sort_by(|&a, &b| {
-                    self.distance(u, a).total_cmp(&self.distance(u, b)).then(a.cmp(&b))
-                });
-                others.truncate(k);
-                others
-            })
-            .collect()
+        k_nearest(self.n(), k, |u, v| self.distance(u, v))
     }
+}
+
+/// The `k` nearest other nodes of each of `n` nodes under `distance`,
+/// each list sorted by `(distance, id)` ascending.
+fn k_nearest(n: usize, k: usize, distance: impl Fn(usize, usize) -> f64) -> Vec<Vec<usize>> {
+    (0..n)
+        .map(|u| {
+            let mut others: Vec<usize> = (0..n).filter(|&v| v != u).collect();
+            others.sort_by(|&a, &b| distance(u, a).total_cmp(&distance(u, b)).then(a.cmp(&b)));
+            others.truncate(k);
+            others
+        })
+        .collect()
 }
 
 /// A per-worker fitness evaluation session (see [`Objective::session`]).
@@ -137,9 +140,9 @@ pub trait ObjectiveSession: Send {
     }
 }
 
-/// The default stateless session: forwards to [`Objective::cost`] and
-/// counts every call as a full evaluation.
-struct StatelessSession<'a, O: Objective + ?Sized> {
+/// The default stateless session of both objective traits: forwards to
+/// the objective and counts every call as a full evaluation.
+struct StatelessSession<'a, O: ?Sized> {
     objective: &'a O,
     full: usize,
 }

@@ -242,30 +242,41 @@ fn tracing_does_not_perturb_synthesis() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Scalar and Pareto runs record the same GA timers under the same names.
 #[test]
 fn metrics_snapshot_lands_in_journal() {
     let _guard = telemetry_lock();
-    let path = temp_journal("metrics");
-    cold_obs::configure(TraceMode::Journal(path.clone())).expect("journal sink");
     let cfg = ColdConfig::quick(8, 4e-4, 10.0);
-    let _ = cfg.synthesize(5);
-    cold_obs::emit_metrics_snapshot();
-    cold_obs::configure(TraceMode::Off).expect("disable sink");
+    let pareto = || {
+        cold::try_synthesize_pareto_in_context(&cfg, cfg.context_for(5), 5, 8, None)
+            .expect("pareto run");
+    };
+    let runs: [(&str, &dyn Fn()); 2] =
+        [("metrics", &|| drop(cfg.synthesize(5))), ("metrics_pareto", &pareto)];
+    for (name, run) in runs {
+        cold_obs::reset();
+        let path = temp_journal(name);
+        cold_obs::configure(TraceMode::Journal(path.clone())).expect("journal sink");
+        run();
+        cold_obs::emit_metrics_snapshot();
+        cold_obs::configure(TraceMode::Off).expect("disable sink");
 
-    let text = std::fs::read_to_string(&path).expect("journal written");
-    let events = parse_journal(&text).expect("valid journal");
-    let metrics = events
-        .iter()
-        .rev()
-        .find_map(|e| match e {
-            Event::Metrics(m) => Some(m),
-            _ => None,
-        })
-        .expect("snapshot event present");
-    let names: Vec<&str> = metrics.metrics.iter().map(|(n, _)| n.as_str()).collect();
-    assert!(names.contains(&"cost.evaluate_total"), "timers recorded: {names:?}");
-    assert!(names.contains(&"ga.evaluate_batch"), "timers recorded: {names:?}");
+        let text = std::fs::read_to_string(&path).expect("journal written");
+        let events = parse_journal(&text).expect("valid journal");
+        let metrics = events
+            .iter()
+            .rev()
+            .find_map(|e| match e {
+                Event::Metrics(m) => Some(m),
+                _ => None,
+            })
+            .expect("snapshot event present");
+        let names: Vec<&str> = metrics.metrics.iter().map(|(n, _)| n.as_str()).collect();
+        for timer in ["cost.evaluate_total", "ga.evaluate_batch", "ga.seed_seconds"] {
+            assert!(names.contains(&timer), "{name}: timers recorded: {names:?}");
+        }
 
-    std::fs::remove_file(&path).ok();
-    cold_obs::reset();
+        std::fs::remove_file(&path).ok();
+        cold_obs::reset();
+    }
 }
