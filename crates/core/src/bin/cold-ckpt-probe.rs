@@ -68,12 +68,14 @@ fn inspect(path: &PathBuf) {
                 "completed": ckpt.records.len(),
             })
         }
-        // A bare GA snapshot names no run size: inspect it at the size of
-        // its first chromosome.
-        _ => match cold::ga::GaCheckpoint::from_value(
-            &doc,
-            doc["population"][0]["topology"]["n"].as_u64().unwrap_or(0) as usize,
-        ) {
+        // A bare GA snapshot names no run: inspect it under its own
+        // settings, at the size of its first chromosome.
+        _ => match cold::ga::GaSettings::from_json_value(&doc["settings"])
+            .map_err(|e| format!("settings: {e}"))
+            .and_then(|run| {
+                let n = doc["population"][0]["topology"]["n"].as_u64().unwrap_or(0) as usize;
+                cold::ga::GaCheckpoint::from_value(&doc, n, &run)
+            }) {
             Ok(ga) => serde_json::json!({
                 "kind": "cold-ga-checkpoint",
                 "generation": ga.generation,
@@ -95,7 +97,7 @@ fn resume_ga(path: &PathBuf) {
         None
     } else {
         Some(
-            cold::ga::GaCheckpoint::from_value(&doc["snapshot"], config.context.n)
+            cold::ga::GaCheckpoint::from_value(&doc["snapshot"], config.context.n, &config.ga)
                 .unwrap_or_else(|e| fail(&format!("input `snapshot`: {e}"))),
         )
     };

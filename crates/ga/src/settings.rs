@@ -131,11 +131,13 @@ impl GaSettings {
         if self.population == 0 {
             return Err("population must be positive".into());
         }
-        if self.num_saved + self.num_crossover + self.num_mutation != self.population {
+        // Checked: huge counts from a snapshot must not wrap to `population`.
+        let total = self.num_saved.checked_add(self.num_crossover);
+        let total = total.and_then(|t| t.checked_add(self.num_mutation));
+        if total != Some(self.population) {
             return Err(format!(
-                "num_saved + num_crossover + num_mutation = {} must equal population {}",
-                self.num_saved + self.num_crossover + self.num_mutation,
-                self.population
+                "num_saved {} + num_crossover {} + num_mutation {} must equal population {}",
+                self.num_saved, self.num_crossover, self.num_mutation, self.population
             ));
         }
         if self.num_saved == 0 {
@@ -221,6 +223,10 @@ mod tests {
         let mut s = GaSettings::paper_default(0);
         s.num_saved = 1;
         assert!(s.validate().is_err());
+        // 1 + usize::MAX + 100 wraps around to the population of 100.
+        s.num_crossover = usize::MAX;
+        s.num_mutation = 100;
+        assert!(s.validate().unwrap_err().contains("num_crossover"));
     }
 
     #[test]

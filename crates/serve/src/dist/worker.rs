@@ -214,10 +214,9 @@ fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
         );
         return;
     };
-    let resume = grant
-        .snapshot
-        .as_ref()
-        .and_then(|s| cold::ga::GaCheckpoint::from_value(s, job_config.context.n).ok());
+    let resume = grant.snapshot.as_ref().and_then(|s| {
+        cold::ga::GaCheckpoint::from_value(s, job_config.context.n, &job_config.ga).ok()
+    });
     if let Some(r) = &resume {
         eprintln!(
             "[cold-serve] worker {} resuming job {} trial {} from generation {}",

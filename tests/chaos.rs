@@ -171,7 +171,8 @@ fn ga_checkpoint_write_fault_never_corrupts_the_previous_snapshot() {
         }
         other => panic!("expected Checkpoint, got {other:?}"),
     }
-    let on_disk = GaCheckpoint::load(&path, cfg.context.n).expect("previous snapshot still valid");
+    let on_disk = GaCheckpoint::load(&path, cfg.context.n, ga.settings())
+        .expect("previous snapshot still valid");
     assert_eq!(on_disk.to_json(), a.to_json(), "failed save must not touch the old snapshot");
     std::fs::remove_dir_all(&dir).ok();
 }

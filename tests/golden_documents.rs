@@ -18,7 +18,7 @@
 //! number differently fails here. The fixtures are never regenerated to
 //! make a refactor pass.
 
-use cold::ga::GaCheckpoint;
+use cold::ga::{GaCheckpoint, GaSettings};
 use cold::{CampaignCheckpoint, EvolutionPlan, TopologySchedule};
 use cold_obs::{parse_journal, Event};
 use cold_serve::dist::proto::{read_frame, write_frame, Msg};
@@ -34,8 +34,11 @@ fn golden(name: &str) -> String {
 /// Node count of every topology in the GA checkpoint fixtures.
 const GA_N: usize = 6;
 
-fn decode_ga(text: &str) -> GaCheckpoint {
-    GaCheckpoint::from_json(text, GA_N).expect("GA checkpoint fixture decodes")
+/// The GA checkpoint fixtures come from quick runs, with and without the
+/// fitness cache.
+fn decode_ga(text: &str, fitness_cache: bool) -> GaCheckpoint {
+    let run = GaSettings { fitness_cache, ..GaSettings::quick(0) };
+    GaCheckpoint::from_json(text, GA_N, &run).expect("GA checkpoint fixture decodes")
 }
 
 #[test]
@@ -53,7 +56,7 @@ fn journal_lines_round_trip_byte_for_byte() {
 fn ga_checkpoints_round_trip_byte_for_byte() {
     for (name, cached) in [("ga_checkpoint.json", true), ("ga_checkpoint_nocache.json", false)] {
         let text = golden(name);
-        let ckpt = decode_ga(&text);
+        let ckpt = decode_ga(&text, cached);
         assert_eq!(ckpt.cache.is_some(), cached, "{name}");
         assert!(ckpt.population.iter().all(|i| i.topology.n() == GA_N), "{name}");
         assert_eq!(ckpt.to_json(), text, "{name}");
