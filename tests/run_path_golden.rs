@@ -17,6 +17,16 @@
 //! guards (`stall_gens`, `early_stop`), the pruned mutation universe
 //! (`mutation_neighbors`) and the fitness cache off.
 //!
+//! The `routing` rows pin the cost path below the GA: for four contexts
+//! (`paper_default` at n = 12 and n = 50, an n = 12 context with two
+//! coincident PoPs, i.e. a zero-length edge, and an n = 12 context on an
+//! integer grid, where equal-length paths tie; the seed column numbers
+//! the context) and for the MST, the MST plus random edges, (at n = 12)
+//! the clique and (on the grid) the grid graph, they digest `evaluate_total`, the `evaluate_parts`
+//! breakdown and per-link loads, the `route_traffic` trees (dist and
+//! parent), loads and `Σ t·L`, `weighted_diameter`, and the totals of a
+//! 20-step `DeltaEval` mutation chain.
+//!
 //! The expected values are FNV-1a digests over the raw IEEE bits, so any
 //! refactor of the run machinery that perturbs a single random draw or a
 //! single floating-point operation fails here. Regenerate them only for
@@ -24,9 +34,17 @@
 //! `COLD_GOLDEN_PRINT=1` and copying the printed table.
 
 use cold::context::rng::derive_seed;
+use cold::context::{Context, ContextConfig, Point};
+use cold::cost::{evaluate_parts, evaluate_total, CostParams, DeltaEval};
 use cold::ga::{EarlyStop, EvalStats, StopReason};
+use cold::graph::components::matrix_is_connected;
+use cold::graph::metrics::weighted_diameter;
+use cold::graph::mst::mst_matrix;
+use cold::graph::routing::route_traffic;
 use cold::graph::AdjacencyMatrix;
 use cold::{ChangeCosts, ColdConfig, RunControl, RunMode, SynthesisMode, SynthesisResult};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -109,6 +127,108 @@ fn pareto_digest(cfg: &ColdConfig, seed: u64) -> u64 {
     d.0
 }
 
+/// Flips one random pair, retrying removals that would disconnect.
+fn random_connected_flip(topo: &mut AdjacencyMatrix, rng: &mut StdRng) {
+    loop {
+        let pair = rng.gen_range(0..topo.pair_count());
+        let had = topo.bit(pair);
+        topo.set_bit(pair, !had);
+        if !had || matrix_is_connected(topo) {
+            return;
+        }
+        topo.set_bit(pair, true);
+    }
+}
+
+/// Everything the cost path computes for `topology` in `ctx`, plus a
+/// 20-step `DeltaEval` chain starting from it.
+fn route_and_price(d: &mut Digest, ctx: &Context, topology: &AdjacencyMatrix, seed: u64) {
+    let params = CostParams::paper(4e-4, 10.0);
+    d.topology(topology);
+    d.f64(evaluate_total(topology, ctx, &params).expect("evaluate_total"));
+    let (parts, plan) = evaluate_parts(topology, ctx, &params).expect("evaluate_parts");
+    for x in [parts.existence, parts.length, parts.bandwidth, parts.hub] {
+        d.f64(x);
+    }
+    for &w in plan.load() {
+        d.f64(w);
+    }
+    let g = topology.to_graph();
+    let routing = route_traffic(&g, ctx.distance_fn(), ctx.traffic_fn()).expect("route_traffic");
+    for tree in &routing.trees {
+        for (&dist, &parent) in tree.dist.iter().zip(&tree.parent) {
+            d.f64(dist);
+            d.u64(parent as u64);
+        }
+    }
+    for &w in &routing.load {
+        d.f64(w);
+    }
+    d.f64(routing.traffic_weighted_route_length);
+    d.f64(weighted_diameter(&g, ctx.distance_fn()).expect("weighted_diameter"));
+    let mut session = DeltaEval::new(ctx, params);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut topo = topology.clone();
+    for _ in 0..20 {
+        let prev = topo.clone();
+        random_connected_flip(&mut topo, &mut rng);
+        d.f64(session.eval(&topo, Some(&prev)).expect("delta eval"));
+    }
+}
+
+/// One digest per routing context (see the module docs).
+fn routing_digests() -> Vec<(&'static str, u64, u64)> {
+    let coincident = {
+        let base = ContextConfig::paper_default(12).generate(3);
+        let mut positions = base.positions.clone();
+        positions[5] = positions[2];
+        Context::new(positions, base.populations.clone(), base.traffic.clone())
+    };
+    // PoPs on a 4 × 3 integer grid: many equal-length shortest paths, so
+    // the heap's `(dist, id)` order decides the trees.
+    let lattice = {
+        let base = ContextConfig::paper_default(12).generate(4);
+        let positions = (0..12).map(|i| Point::new((i % 4) as f64 * 64.0, (i / 4) as f64 * 64.0));
+        Context::new(positions.collect(), base.populations.clone(), base.traffic.clone())
+    };
+    let contexts = [
+        ContextConfig::paper_default(12).generate(1),
+        ContextConfig::paper_default(50).generate(2),
+        coincident,
+        lattice,
+    ];
+    let mut out = Vec::new();
+    for (case, ctx) in (1u64..).zip(&contexts) {
+        let n = ctx.n();
+        let mst = mst_matrix(n, ctx.distance_fn());
+        let mut extra = mst.clone();
+        let mut rng = StdRng::seed_from_u64(case);
+        for _ in 0..n / 2 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                extra.set_edge(u, v, true);
+            }
+        }
+        let mut topologies = vec![mst, extra];
+        if n == 12 {
+            topologies.push(AdjacencyMatrix::complete(n));
+        }
+        if case == 4 {
+            let grid: Vec<(usize, usize)> = (0..12)
+                .flat_map(|v| [(v, v + 1), (v, v + 4)])
+                .filter(|&(v, w)| w < 12 && (w == v + 4 || v % 4 != 3))
+                .collect();
+            topologies.push(AdjacencyMatrix::from_edges(12, &grid).expect("grid"));
+        }
+        let mut d = Digest::new();
+        for (i, topology) in (0u64..).zip(&topologies) {
+            route_and_price(&mut d, ctx, topology, case * 10 + i);
+        }
+        out.push(("routing", case, d.0));
+    }
+    out
+}
+
 fn config(mode: SynthesisMode) -> ColdConfig {
     ColdConfig { mode, ..ColdConfig::quick(12, 4e-4, 10.0) }
 }
@@ -152,6 +272,7 @@ fn digests() -> Vec<(&'static str, u64, u64)> {
         let cfg = guarded(SynthesisMode::Initialized);
         out.push(("pareto_guarded", seed, pareto_digest(&cfg, seed)));
     }
+    out.extend(routing_digests());
     out
 }
 
@@ -174,6 +295,10 @@ const EXPECTED: &[(&str, u64, u64)] = &[
     ("pareto", 3, 0x2f65cda960be66ce),
     ("ga_only_guarded", 3, 0x5621ac605a9a2129),
     ("pareto_guarded", 3, 0x9ce8486db1b49341),
+    ("routing", 1, 0x5e57410431a571d4),
+    ("routing", 2, 0xe3879561bffabb73),
+    ("routing", 3, 0x6f824ed66d24ae69),
+    ("routing", 4, 0x44d6c017969cabf2),
 ];
 
 #[test]
