@@ -55,8 +55,8 @@ impl std::error::Error for ImportError {}
 /// Parses the CSV text into records.
 ///
 /// # Errors
-/// Returns the first malformed line (wrong field count, unparsable
-/// numbers, non-positive population).
+/// Returns the first malformed line (wrong field count, unparsable or
+/// non-finite numbers, non-positive population).
 pub fn parse_pop_csv(text: &str) -> Result<Vec<PopRecord>, ImportError> {
     let mut records = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -84,8 +84,18 @@ pub fn parse_pop_csv(text: &str) -> Result<Vec<PopRecord>, ImportError> {
                 message: format!("cannot parse {what} `{s}`"),
             })
         };
-        let x = num(fields[1], "x")?;
-        let y = num(fields[2], "y")?;
+        let coordinate = |s: &str, what: &str| -> Result<f64, ImportError> {
+            let c = num(s, what)?;
+            if !c.is_finite() {
+                return Err(ImportError {
+                    line: line_no,
+                    message: format!("{what} must be finite, got {c}"),
+                });
+            }
+            Ok(c)
+        };
+        let x = coordinate(fields[1], "x")?;
+        let y = coordinate(fields[2], "y")?;
         let population = if fields.len() == 4 {
             let p = num(fields[3], "population")?;
             if p <= 0.0 || !p.is_finite() {
@@ -169,6 +179,17 @@ Perth, 115.9, -31.9
         assert_eq!(parse_pop_csv(too_few).unwrap_err().line, 1);
         let neg = "A, 1, 2, -3\n";
         assert!(parse_pop_csv(neg).unwrap_err().message.contains("positive"));
+        for (bad, what) in [
+            ("A, 1, 2\nB, NaN, 0, 1\n", "x"),
+            ("A, 1, 2\nB, 0, inf\n", "y"),
+            ("A, 1, 2\nB, -inf, 0\n", "x"),
+        ] {
+            let e = parse_pop_csv(bad).unwrap_err();
+            assert_eq!(e.line, 2, "{bad}");
+            assert!(e.message.contains(&format!("{what} must be finite")), "{bad}: {e}");
+            let csv = context_from_csv(bad, PopulationKind::default(), GravityModel::raw(), 0);
+            assert_eq!(csv.unwrap_err(), e);
+        }
     }
 
     #[test]

@@ -180,10 +180,16 @@ pub fn parse_graphml(text: &str) -> Result<ImportedGraph, GraphMlError> {
 impl ImportedGraph {
     /// Builds a synthesis [`cold_context::Context`] when the file carried
     /// both coordinates and populations — enabling direct ABC fitting
-    /// against the imported network.
+    /// against the imported network. `None` also when a coordinate is not
+    /// finite or a population is not positive and finite.
     pub fn to_context(&self) -> Option<cold_context::Context> {
         let positions = self.positions.clone()?;
         let populations = self.populations.clone()?;
+        if !positions.iter().all(|p| p.x.is_finite() && p.y.is_finite())
+            || !populations.iter().all(|&p| p > 0.0 && p.is_finite())
+        {
+            return None;
+        }
         let traffic = cold_context::GravityModel::paper_default()
             .traffic_matrix(&populations, Some(&positions));
         Some(cold_context::Context::new(positions, populations, traffic))

@@ -3,8 +3,9 @@
 use crate::capacity::{assign_capacities, CapacityPlan};
 use crate::params::CostParams;
 use cold_context::Context;
-use cold_graph::routing::{route_loads_into, RoutingWorkspace};
-use cold_graph::{AdjacencyMatrix, GraphError};
+use cold_graph::routing::source_weighted_demand;
+use cold_graph::shortest_path::{Csr, DijkstraWorkspace};
+use cold_graph::{AdjacencyMatrix, Graph, GraphError};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
@@ -57,21 +58,104 @@ pub fn evaluate_parts(
     Ok((breakdown, plan))
 }
 
+/// Buffers of [`full_pass`]: the candidate's CSR, the Dijkstra workspace
+/// and the per-source demand vector. Reused across evaluations, they make
+/// the pass allocation-free after warm-up.
+#[derive(Debug, Default)]
+pub(crate) struct PassScratch {
+    pub(crate) csr: Csr,
+    dijkstra: DijkstraWorkspace,
+    pub(crate) demand: Vec<f64>,
+}
+
+/// The full evaluation pass that [`evaluate_total`] and
+/// [`DeltaEval`](crate::DeltaEval) share: builds the CSR of `g`, then for
+/// each source in ascending order runs Dijkstra and
+/// [`source_weighted_demand`], hands the finished run and its sum to
+/// `keep(source, run, sum)`, and prices the topology with [`price`].
+/// Computes no per-link loads.
+pub(crate) fn full_pass(
+    g: &Graph,
+    ctx: &Context,
+    params: &CostParams,
+    scratch: &mut PassScratch,
+    mut keep: impl FnMut(usize, &DijkstraWorkspace, f64),
+) -> Result<f64, GraphError> {
+    let PassScratch { csr, dijkstra, demand } = scratch;
+    csr.build(g, ctx.distance_fn());
+    let traffic = ctx.traffic_fn();
+    price(g, ctx, params, |s| {
+        dijkstra.run_csr(s, csr);
+        let weighted = source_weighted_demand(s, dijkstra.dist(), traffic, demand)?;
+        keep(s, dijkstra, weighted);
+        Ok(weighted)
+    })
+}
+
+/// `k0·|E| + k1·Σℓ + k2·Σt·L + k3·hubs` of `g`, where `Σt·L` folds
+/// `per_source(s)` over the sources in ascending order and `|E|`, `Σℓ`
+/// run in the capacity plan's edge order. Every total outside
+/// [`evaluate_parts`] goes through here, so the full and the repaired
+/// paths share one summation tree and agree with `evaluate_parts` bit for
+/// bit.
+pub(crate) fn price(
+    g: &Graph,
+    ctx: &Context,
+    params: &CostParams,
+    mut per_source: impl FnMut(usize) -> Result<f64, GraphError>,
+) -> Result<f64, GraphError> {
+    let mut weighted = 0.0f64;
+    for s in 0..g.n() {
+        weighted += per_source(s)?;
+    }
+    let mut links = 0usize;
+    let mut total_length = 0.0f64;
+    for (u, v) in g.edges() {
+        links += 1;
+        total_length += ctx.distance(u, v);
+    }
+    let hubs = (0..g.n()).filter(|&v| g.degree(v) > 1).count();
+    Ok(params.k0 * links as f64
+        + params.k1 * total_length
+        + params.k2 * weighted
+        + params.k3 * hubs as f64)
+}
+
+/// The `eval.*` fault points every objective evaluation passes through:
+/// `eval.panic` panics, `eval.nan` makes the evaluation return
+/// `Some(NaN)`, and `eval.slow` sleeps 15 ms.
+pub(crate) fn eval_fault() -> Option<f64> {
+    if !cold_fault::armed() {
+        return None;
+    }
+    if cold_fault::should_fire("eval.panic") {
+        panic!("cold-fault: injected panic at eval.panic");
+    }
+    if cold_fault::should_fire("eval.nan") {
+        return Some(f64::NAN);
+    }
+    if cold_fault::should_fire("eval.slow") {
+        std::thread::sleep(std::time::Duration::from_millis(15));
+    }
+    None
+}
+
 thread_local! {
-    /// Per-thread routing scratch for [`evaluate_total`]. Thread-local so
-    /// the GA's parallel fitness workers each reuse their own buffers
-    /// without locking.
-    static ROUTING_SCRATCH: RefCell<(RoutingWorkspace, Vec<f64>)> =
-        RefCell::new((RoutingWorkspace::new(), Vec::new()));
+    /// Per-thread scratch for [`evaluate_total`]. Thread-local so the GA's
+    /// parallel fitness workers each reuse their own buffers without
+    /// locking.
+    static PASS_SCRATCH: RefCell<PassScratch> = RefCell::new(PassScratch::default());
 }
 
 /// Total cost only — the allocation-lean hot path the GA calls once per
 /// candidate per generation.
 ///
 /// Skips everything [`evaluate_parts`] materializes for reports: no
-/// [`CapacityPlan`], no shortest-path trees, no edge list; routing runs
-/// through a thread-local reusable workspace. The returned total is
-/// bit-identical to `evaluate_parts(..).0.total()`.
+/// [`CapacityPlan`], no per-link loads, no shortest-path trees, no edge
+/// list; the crate's one full evaluation pass (shared with
+/// [`DeltaEval`](crate::DeltaEval)) runs through a thread-local reusable
+/// scratch. The returned total is bit-identical to
+/// `evaluate_parts(..).0.total()`.
 ///
 /// # Errors
 /// As for [`evaluate_parts`].
@@ -80,16 +164,8 @@ pub fn evaluate_total(
     ctx: &Context,
     params: &CostParams,
 ) -> Result<f64, GraphError> {
-    if cold_fault::armed() {
-        if cold_fault::should_fire("eval.panic") {
-            panic!("cold-fault: injected panic at eval.panic");
-        }
-        if cold_fault::should_fire("eval.nan") {
-            return Ok(f64::NAN);
-        }
-        if cold_fault::should_fire("eval.slow") {
-            std::thread::sleep(std::time::Duration::from_millis(15));
-        }
+    if let Some(nan) = eval_fault() {
+        return Ok(nan);
     }
     let _timer = cold_obs::timer("cost.evaluate_total");
     evaluate_total_untimed(topology, ctx, params)
@@ -111,24 +187,7 @@ pub fn evaluate_total_untimed(
         return Err(GraphError::SizeMismatch { expected: ctx.n(), actual: topology.n() });
     }
     let g = topology.to_graph();
-    let dist = ctx.distance_fn();
-    let weighted = ROUTING_SCRATCH.with(|s| {
-        let (ws, load) = &mut *s.borrow_mut();
-        route_loads_into(&g, dist, ctx.traffic_fn(), ws, load)
-    })?;
-    // |E| and Σℓ accumulated in the same edge order as the capacity plan so
-    // the length sum rounds identically.
-    let mut links = 0usize;
-    let mut total_length = 0.0f64;
-    for (u, v) in g.edges() {
-        links += 1;
-        total_length += dist(u, v);
-    }
-    let hubs = (0..g.n()).filter(|&v| g.degree(v) > 1).count();
-    Ok(params.k0 * links as f64
-        + params.k1 * total_length
-        + params.k2 * weighted
-        + params.k3 * hubs as f64)
+    PASS_SCRATCH.with(|s| full_pass(&g, ctx, params, &mut s.borrow_mut(), |_, _, _| {}))
 }
 
 /// Total cost only, via the full [`evaluate_parts`] pipeline — see
@@ -284,6 +343,30 @@ mod tests {
             assert_eq!(lean, full, "paths must agree bit-for-bit");
             // And the scratch must not leak state between evaluations.
             assert_eq!(evaluate_total(topo, &ctx, &params).unwrap(), lean);
+        }
+    }
+
+    #[test]
+    fn evaluate_total_reuses_its_scratch_across_sizes() {
+        // Larger context first, then smaller, then larger again: the
+        // thread-local CSR and Dijkstra buffers must resize, not leak.
+        let params = CostParams::paper(3e-4, 12.0);
+        let big = Context::from_positions(
+            (0..6).map(|i| Point::new(i as f64, (i * i % 5) as f64)).collect(),
+            PopulationKind::Constant { value: 1.0 },
+            GravityModel::raw(),
+            0,
+        );
+        let small = square_context();
+        let path = |n: usize| {
+            let edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
+            AdjacencyMatrix::from_edges(n, &edges).unwrap()
+        };
+        for (ctx, topo) in
+            [(&big, path(6)), (&small, path(4)), (&big, AdjacencyMatrix::complete(6))]
+        {
+            let full = evaluate_parts(&topo, ctx, &params).unwrap().0.total();
+            assert_eq!(evaluate_total(&topo, ctx, &params).unwrap().to_bits(), full.to_bits());
         }
     }
 

@@ -30,13 +30,13 @@
 //!    bit for bit.
 //! 2. *Per-source pricing shares one loop.* Each repaired source's
 //!    `Σ_t t(s,t)·dist[t]` goes through
-//!    [`cold_graph::routing::source_weighted_demand`],
-//!    the same per-source accumulation `route_loads_into` runs, and the
-//!    per-source terms are folded in ascending source order — the same
-//!    summation tree as the full pass.
-//! 3. *The remaining terms are recomputed.* `k0·|E|`, `k1·Σℓ` and
-//!    `k3·hubs` are cheap (O(m + n)) and evaluated from the candidate
-//!    exactly as [`evaluate_total`](crate::evaluate_total) evaluates them.
+//!    [`cold_graph::routing::source_weighted_demand`], the same
+//!    per-source loop the full pass runs.
+//! 3. *The total shares one function.* The full pass and the repair both
+//!    finish in the crate's one pricing step, which folds the per-source
+//!    terms in ascending source order and recomputes `k0·|E|`, `k1·Σℓ`
+//!    and `k3·hubs` from the candidate (O(m + n)). The full pass itself
+//!    is the one [`evaluate_total`](crate::evaluate_total) runs.
 //!
 //! # Repair algorithm
 //!
@@ -54,12 +54,12 @@
 //! fixpoint. Sources the flips don't touch keep their rows and their
 //! cached per-source price untouched.
 
+use crate::cost::{eval_fault, full_pass, price, PassScratch};
 use crate::params::CostParams;
 use cold_context::Context;
 use cold_graph::routing::source_weighted_demand;
-use cold_graph::shortest_path::DijkstraWorkspace;
-use cold_graph::{AdjacencyMatrix, Graph, GraphError};
-use std::cmp::Ordering;
+use cold_graph::shortest_path::{Csr, HeapItem};
+use cold_graph::{AdjacencyMatrix, GraphError};
 use std::collections::BinaryHeap;
 
 /// Routing state of the last successfully evaluated topology.
@@ -79,71 +79,17 @@ struct Anchor {
     total: f64,
 }
 
-/// Min-heap item ordered by `(dist, node)` via `total_cmp`, reversed for
-/// `BinaryHeap`'s max-heap semantics — the same ordering the full
-/// Dijkstra uses.
-#[derive(Debug)]
-struct MinItem {
-    dist: f64,
-    node: usize,
-}
-
-impl PartialEq for MinItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for MinItem {}
-impl PartialOrd for MinItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MinItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.dist.total_cmp(&self.dist).then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-/// CSR adjacency with per-arc lengths for the candidate topology.
-#[derive(Debug, Default)]
-struct Csr {
-    start: Vec<usize>,
-    node: Vec<usize>,
-    len: Vec<f64>,
-}
-
-impl Csr {
-    fn build(&mut self, g: &Graph, len: impl Fn(usize, usize) -> f64) {
-        let n = g.n();
-        self.start.clear();
-        self.node.clear();
-        self.len.clear();
-        self.start.reserve(n + 1);
-        self.start.push(0);
-        for u in 0..n {
-            for &v in g.neighbors(u) {
-                let w = len(u, v);
-                assert!(w >= 0.0, "negative or NaN edge length on ({u},{v}): {w}");
-                self.node.push(v);
-                self.len.push(w);
-            }
-            self.start.push(self.node.len());
-        }
-    }
-}
-
 /// Reusable buffers; everything grows on first use and is reused across
 /// evaluations.
 #[derive(Debug, Default)]
 struct Scratch {
-    csr: Csr,
-    dijkstra: DijkstraWorkspace,
-    demand: Vec<f64>,
+    /// The full pass's buffers; the repair reuses its CSR and demand
+    /// vector.
+    pass: PassScratch,
     /// Per-vertex repair status: 0 unknown, 1 keeps its label, 2 orphan.
     status: Vec<u8>,
     chain: Vec<usize>,
-    heap: BinaryHeap<MinItem>,
+    heap: BinaryHeap<HeapItem>,
     wdist: Vec<f64>,
     wparent: Vec<usize>,
     /// Repaired rows, staged here and committed only when every affected
@@ -261,16 +207,8 @@ impl<'a> DeltaEval<'a> {
         // Same fault boundary as `evaluate_total`: sessions are a drop-in
         // replacement for the stateless path, so chaos scenarios armed
         // against `eval.*` must fire here too.
-        if cold_fault::armed() {
-            if cold_fault::should_fire("eval.panic") {
-                panic!("cold-fault: injected panic at eval.panic");
-            }
-            if cold_fault::should_fire("eval.nan") {
-                return Ok(f64::NAN);
-            }
-            if cold_fault::should_fire("eval.slow") {
-                std::thread::sleep(std::time::Duration::from_millis(15));
-            }
+        if let Some(nan) = eval_fault() {
+            return Ok(nan);
         }
         let _timer = cold_obs::timer("cost.evaluate_total");
         // Attribute this evaluation's wall time to the delta or full
@@ -314,29 +252,20 @@ impl<'a> DeltaEval<'a> {
         Ok(total)
     }
 
-    /// Full evaluation that also (re)builds the anchor. Bit-identical to
-    /// [`evaluate_total`](crate::evaluate_total): same CSR order, same
-    /// Dijkstra, same per-source pricing loop, same fold order.
+    /// Full evaluation that also (re)builds the anchor: the full pass of
+    /// [`evaluate_total`](crate::evaluate_total), keeping every source's
+    /// distance and parent rows.
     fn full_anchor(&mut self, topology: &AdjacencyMatrix) -> Result<f64, GraphError> {
         let n = self.ctx.n();
-        let g = topology.to_graph();
-        let dist_fn = self.ctx.distance_fn();
-        let traffic = self.ctx.traffic_fn();
-        let s = &mut self.scratch;
-        s.csr.build(&g, dist_fn);
         let mut dist = vec![f64::INFINITY; n * n];
         let mut parent = vec![usize::MAX; n * n];
         let mut per_source = vec![0.0f64; n];
-        let mut weighted = 0.0f64;
-        for src in 0..n {
-            s.dijkstra.run_csr(src, &s.csr.start, &s.csr.node, &s.csr.len);
-            let w = source_weighted_demand(src, s.dijkstra.dist(), traffic, &mut s.demand)?;
-            per_source[src] = w;
-            weighted += w;
-            dist[src * n..(src + 1) * n].copy_from_slice(s.dijkstra.dist());
-            parent[src * n..(src + 1) * n].copy_from_slice(s.dijkstra.parent());
-        }
-        let total = total_from_parts(&g, dist_fn, weighted, &self.params);
+        let g = topology.to_graph();
+        let total = full_pass(&g, self.ctx, &self.params, &mut self.scratch.pass, |s, run, w| {
+            per_source[s] = w;
+            dist[s * n..(s + 1) * n].copy_from_slice(run.dist());
+            parent[s * n..(s + 1) * n].copy_from_slice(run.parent());
+        })?;
         self.anchor = Some(Anchor { topology: topology.clone(), dist, parent, per_source, total });
         Ok(total)
     }
@@ -384,7 +313,7 @@ impl<'a> DeltaEval<'a> {
         }
 
         let g = child.to_graph();
-        s.csr.build(&g, dist_fn);
+        s.pass.csr.build(&g, dist_fn);
         let traffic = self.ctx.traffic_fn();
         let affected = s.affected.len();
         s.rdist.clear();
@@ -403,14 +332,14 @@ impl<'a> DeltaEval<'a> {
                 src,
                 &mut s.wdist,
                 &mut s.wparent,
-                &s.csr,
+                &s.pass.csr,
                 &deleted,
                 &inserted,
                 &mut s.status,
                 &mut s.chain,
                 &mut s.heap,
             );
-            s.rweighted[k] = source_weighted_demand(src, &s.wdist, traffic, &mut s.demand)?;
+            s.rweighted[k] = source_weighted_demand(src, &s.wdist, traffic, &mut s.pass.demand)?;
             s.rdist[k * n..(k + 1) * n].copy_from_slice(&s.wdist);
             s.rparent[k * n..(k + 1) * n].copy_from_slice(&s.wparent);
         }
@@ -423,37 +352,10 @@ impl<'a> DeltaEval<'a> {
             anchor.per_source[src] = s.rweighted[k];
         }
         anchor.topology = child.clone();
-        // Fold per-source prices in ascending source order — the same
-        // summation tree as the full pass.
-        let mut weighted = 0.0f64;
-        for &w in &anchor.per_source {
-            weighted += w;
-        }
-        let total = total_from_parts(&g, dist_fn, weighted, &self.params);
+        let total = price(&g, self.ctx, &self.params, |s| Ok(anchor.per_source[s]))?;
         anchor.total = total;
         Ok(Some(total))
     }
-}
-
-/// `k0·|E| + k1·Σℓ + k2·Σt·L + k3·hubs`, with `|E|` and `Σℓ` accumulated
-/// in ascending edge order exactly as `evaluate_total` accumulates them.
-fn total_from_parts(
-    g: &Graph,
-    dist: impl Fn(usize, usize) -> f64,
-    weighted: f64,
-    params: &CostParams,
-) -> f64 {
-    let mut links = 0usize;
-    let mut total_length = 0.0f64;
-    for (u, v) in g.edges() {
-        links += 1;
-        total_length += dist(u, v);
-    }
-    let hubs = (0..g.n()).filter(|&v| g.degree(v) > 1).count();
-    params.k0 * links as f64
-        + params.k1 * total_length
-        + params.k2 * weighted
-        + params.k3 * hubs as f64
 }
 
 /// Repairs one source's shortest-path tree in place (see the module docs
@@ -468,7 +370,7 @@ fn repair_source(
     inserted: &[(usize, usize, f64)],
     status: &mut Vec<u8>,
     chain: &mut Vec<usize>,
-    heap: &mut BinaryHeap<MinItem>,
+    heap: &mut BinaryHeap<HeapItem>,
 ) {
     let n = wdist.len();
     status.clear();
@@ -517,19 +419,18 @@ fn repair_source(
         if status[x] != 2 {
             continue;
         }
-        for k in csr.start[x]..csr.start[x + 1] {
-            let y = csr.node[k];
+        for &(y, w) in csr.arcs(x) {
             if status[y] == 2 {
                 continue;
             }
-            let nd = wdist[y] + csr.len[k];
+            let nd = wdist[y] + w;
             if nd < wdist[x] {
                 wdist[x] = nd;
                 wparent[x] = y;
             }
         }
         if wdist[x].is_finite() {
-            heap.push(MinItem { dist: wdist[x], node: x });
+            heap.push(HeapItem { dist: wdist[x], node: x });
         }
     }
     // Inserted edges can strictly shorten surviving labels; relax both
@@ -538,29 +439,28 @@ fn repair_source(
         if wdist[u] + w < wdist[v] {
             wdist[v] = wdist[u] + w;
             wparent[v] = u;
-            heap.push(MinItem { dist: wdist[v], node: v });
+            heap.push(HeapItem { dist: wdist[v], node: v });
         }
         if wdist[v] + w < wdist[u] {
             wdist[u] = wdist[v] + w;
             wparent[u] = v;
-            heap.push(MinItem { dist: wdist[u], node: u });
+            heap.push(HeapItem { dist: wdist[u], node: u });
         }
     }
     // Lazy-deletion propagation to the relaxation fixpoint. Decrease-only
     // relaxation suffices: surviving labels never need to grow (their
     // tree paths survive the deletions by construction of the orphan
     // set), and orphans restart from ∞.
-    while let Some(MinItem { dist: d, node: x }) = heap.pop() {
+    while let Some(HeapItem { dist: d, node: x }) = heap.pop() {
         if d > wdist[x] {
             continue;
         }
-        for k in csr.start[x]..csr.start[x + 1] {
-            let y = csr.node[k];
-            let nd = wdist[x] + csr.len[k];
+        for &(y, w) in csr.arcs(x) {
+            let nd = wdist[x] + w;
             if nd < wdist[y] {
                 wdist[y] = nd;
                 wparent[y] = x;
-                heap.push(MinItem { dist: nd, node: y });
+                heap.push(HeapItem { dist: nd, node: y });
             }
         }
     }

@@ -6,7 +6,7 @@
 //! since synthesized networks carry link lengths.
 
 use crate::graph::Graph;
-use crate::shortest_path::{bfs_hops, dijkstra};
+use crate::shortest_path::{bfs_hops, Csr, DijkstraWorkspace};
 use crate::{GraphError, Result};
 
 /// Hop diameter: the maximum over all node pairs of the minimum hop count.
@@ -63,15 +63,17 @@ pub fn average_path_length(g: &Graph) -> Result<f64> {
 ///
 /// # Errors
 /// [`GraphError::Disconnected`] if some pair has no path.
-pub fn weighted_diameter(g: &Graph, len: impl Fn(usize, usize) -> f64 + Copy) -> Result<f64> {
+pub fn weighted_diameter(g: &Graph, len: impl Fn(usize, usize) -> f64) -> Result<f64> {
     let n = g.n();
     if n <= 1 {
         return Ok(0.0);
     }
+    let csr = Csr::new(g, len);
+    let mut ws = DijkstraWorkspace::new();
     let mut diam = 0.0f64;
     for s in 0..n {
-        let tree = dijkstra(g, s, len);
-        for &d in &tree.dist {
+        ws.run_csr(s, &csr);
+        for &d in ws.dist() {
             if !d.is_finite() {
                 return Err(GraphError::Disconnected);
             }

@@ -17,20 +17,15 @@
 //! ordering could process the parent first and silently drop the child's
 //! subtree load.
 //!
-//! Two entry points share that core. [`route_traffic`] materializes the
-//! full [`RoutingResult`] (edge list, per-edge loads, shortest-path trees)
-//! for reports and capacity plans; it orders the pass by decreasing tree
-//! *depth* (hops), counting-sorted in O(n). [`route_loads_into`] is the
-//! allocation-lean variant for objective evaluation — it reuses a
-//! [`RoutingWorkspace`], runs Dijkstra over a precomputed CSR, and walks
-//! the recorded settle order in reverse (children settle strictly after
-//! parents, zero-length edges included) without building trees, an edge
-//! list, or a depth pass. Both orders are valid children-first traversals;
-//! per-link loads can differ between the two entry points only by
-//! floating-point summation order (≈1 ULP), while `Σ t·L` is bit-identical.
+//! [`route_traffic`] materializes the full [`RoutingResult`] (edge list,
+//! per-edge loads, shortest-path trees) for reports and capacity plans; it
+//! orders the pass by decreasing tree *depth* (hops), counting-sorted in
+//! O(n). Objective evaluation needs no loads: it prices each source with
+//! [`source_weighted_demand`], the loop `route_traffic` also runs, so both
+//! give the same `Σ t·L` bit for bit.
 
 use crate::graph::Graph;
-use crate::shortest_path::{dijkstra, DijkstraWorkspace, ShortestPathTree};
+use crate::shortest_path::{Csr, DijkstraWorkspace, ShortestPathTree};
 use crate::{GraphError, Result};
 
 /// The outcome of routing a traffic matrix over a topology.
@@ -71,7 +66,7 @@ impl RoutingResult {
 /// pair with no path.
 pub fn route_traffic(
     g: &Graph,
-    len: impl Fn(usize, usize) -> f64 + Copy,
+    len: impl Fn(usize, usize) -> f64,
     traffic: impl Fn(usize, usize) -> f64,
 ) -> Result<RoutingResult> {
     let n = g.n();
@@ -85,65 +80,19 @@ pub fn route_traffic(
     let mut weighted_len = 0.0f64;
     let mut trees = Vec::with_capacity(n);
     let mut scratch = SubtreeScratch::default();
+    let csr = Csr::new(g, len);
+    let mut ws = DijkstraWorkspace::new();
     for s in 0..n {
-        let tree = dijkstra(g, s, len);
+        ws.run_csr(s, &csr);
         weighted_len +=
-            accumulate_source(s, &tree.dist, &tree.parent, &traffic, &mut scratch, |p, v, d| {
+            accumulate_source(s, ws.dist(), ws.parent(), &traffic, &mut scratch, |p, v, d| {
                 let slot = edge_slot[pair_slot(n, p, v)];
                 debug_assert_ne!(slot, usize::MAX, "tree edge must exist in graph");
                 load[slot] += d;
             })?;
-        trees.push(tree);
+        trees.push(ws.tree(s));
     }
     Ok(RoutingResult { edges, load, traffic_weighted_route_length: weighted_len, trees })
-}
-
-/// Reusable scratch for [`route_loads_into`]: the Dijkstra buffers, the
-/// CSR adjacency with precomputed arc lengths, and the per-source demand
-/// vector of the subtree pass. One workspace per worker thread makes
-/// repeated objective evaluations allocation-free after warm-up.
-#[derive(Debug, Default)]
-pub struct RoutingWorkspace {
-    dijkstra: DijkstraWorkspace,
-    scratch: SubtreeScratch,
-    csr: CsrScratch,
-}
-
-/// CSR adjacency with per-arc lengths, rebuilt once per topology so the n
-/// per-source Dijkstras read contiguous arrays instead of calling the
-/// length closure ~2m times each.
-#[derive(Debug, Default)]
-struct CsrScratch {
-    start: Vec<usize>,
-    node: Vec<usize>,
-    len: Vec<f64>,
-}
-
-impl CsrScratch {
-    fn build(&mut self, g: &Graph, len: impl Fn(usize, usize) -> f64) {
-        let n = g.n();
-        self.start.clear();
-        self.node.clear();
-        self.len.clear();
-        self.start.reserve(n + 1);
-        self.start.push(0);
-        for u in 0..n {
-            for &v in g.neighbors(u) {
-                let w = len(u, v);
-                assert!(w >= 0.0, "negative or NaN edge length on ({u},{v}): {w}");
-                self.node.push(v);
-                self.len.push(w);
-            }
-            self.start.push(self.node.len());
-        }
-    }
-}
-
-impl RoutingWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Buffers of the per-source subtree-accumulation pass.
@@ -153,53 +102,6 @@ struct SubtreeScratch {
     depth: Vec<usize>,
     counts: Vec<usize>,
     order: Vec<usize>,
-}
-
-/// Routes `traffic` over `g` like [`route_traffic`], but accumulates loads
-/// into `load` (indexed by upper-triangle node-pair index, the ordering of
-/// [`crate::AdjacencyMatrix::pair_index`]; non-edges stay `0.0`) and returns
-/// `Σ_r t_r·L_r` — without materializing shortest-path trees, an edge list,
-/// or any per-call allocation beyond growing the reused buffers.
-///
-/// The returned `Σ t·L` is bit-identical to [`route_traffic`]'s (same
-/// Dijkstra, same demand loop). Per-link loads agree up to floating-point
-/// summation order: subtree demand is pushed down in reverse settle order
-/// here versus decreasing-depth order there, so a node's children can
-/// accumulate into its demand in a different sequence (≈1 ULP).
-///
-/// # Errors
-/// Returns [`GraphError::Disconnected`] if any positive demand connects a
-/// pair with no path.
-pub fn route_loads_into(
-    g: &Graph,
-    len: impl Fn(usize, usize) -> f64 + Copy,
-    traffic: impl Fn(usize, usize) -> f64,
-    ws: &mut RoutingWorkspace,
-    load: &mut Vec<f64>,
-) -> Result<f64> {
-    let n = g.n();
-    load.clear();
-    load.resize(pair_count(n), 0.0);
-    let RoutingWorkspace { dijkstra, scratch, csr } = ws;
-    csr.build(g, len);
-    let mut weighted_len = 0.0f64;
-    for s in 0..n {
-        dijkstra.run_csr(s, &csr.start, &csr.node, &csr.len);
-        weighted_len += collect_demands(s, dijkstra.dist(), &traffic, &mut scratch.demand)?;
-        // Push subtree demand down the tree in reverse settle order: every
-        // tree child settled strictly after its parent (zero-length edges
-        // included), so the reversal processes children first.
-        let parent = dijkstra.parent();
-        for &v in dijkstra.settle_order().iter().rev() {
-            let d = scratch.demand[v];
-            if v != s && d > 0.0 {
-                let p = parent[v];
-                load[pair_slot(n, p, v)] += d;
-                scratch.demand[p] += d;
-            }
-        }
-    }
-    Ok(weighted_len)
 }
 
 /// Number of unordered node pairs on `n` nodes.
@@ -229,7 +131,7 @@ fn accumulate_source(
     scratch: &mut SubtreeScratch,
     mut add_load: impl FnMut(usize, usize, f64),
 ) -> Result<f64> {
-    let weighted = collect_demands(s, dist, traffic, &mut scratch.demand)?;
+    let weighted = source_weighted_demand(s, dist, traffic, &mut scratch.demand)?;
     let demand = &mut scratch.demand;
     tree_depths(s, dist, parent, &mut scratch.depth);
     order_by_depth_desc(&scratch.depth, &mut scratch.counts, &mut scratch.order);
@@ -244,14 +146,14 @@ fn accumulate_source(
     Ok(weighted)
 }
 
-/// `Σ_t t(s,t)·dist[t]` for one source, with exactly the arithmetic and
-/// accumulation order [`route_loads_into`] uses per source.
+/// Fills `demand` with the demands out of source `s` and returns
+/// `Σ_t t(s,t)·dist[t]`: the one per-source pricing loop.
 ///
-/// This is the building block incremental (delta) evaluation needs: after
-/// repairing a single source's distance row it can recompute just that
-/// source's weighted-demand contribution and still fold the per-source
-/// terms in ascending source order, making the total bit-identical to a
-/// full re-route. `demand` is a reusable scratch buffer (overwritten).
+/// [`route_traffic`] and the objective's full pass run it per source, and
+/// incremental (delta) evaluation runs it for just the sources whose
+/// distance row it repaired. Folding the per-source terms in ascending
+/// source order therefore gives the same total, bit for bit, on every
+/// path. `demand` is a reusable scratch buffer (overwritten).
 ///
 /// # Errors
 /// Returns [`GraphError::Disconnected`] if any positive demand out of `s`
@@ -260,19 +162,6 @@ pub fn source_weighted_demand(
     s: usize,
     dist: &[f64],
     traffic: impl Fn(usize, usize) -> f64,
-    demand: &mut Vec<f64>,
-) -> Result<f64> {
-    collect_demands(s, dist, &traffic, demand)
-}
-
-/// Fills `demand` with the demands out of source `s` (rejecting positive
-/// demand to unreachable nodes) and returns `Σ_t t(s,t)·dist[t]`. Both
-/// routing entry points share this loop so their `Σ t·L` stays
-/// bit-identical.
-fn collect_demands(
-    s: usize,
-    dist: &[f64],
-    traffic: &impl Fn(usize, usize) -> f64,
     demand: &mut Vec<f64>,
 ) -> Result<f64> {
     let n = dist.len();
@@ -453,85 +342,22 @@ mod tests {
         // And the eq. (1) identity must hold: Σ ℓ·w = 1·4 + 0·4 = Σ t·L.
         let link_side: f64 = r.edges.iter().zip(&r.load).map(|(&(u, v), &w)| len(u, v) * w).sum();
         assert_eq!(link_side, r.traffic_weighted_route_length);
-        // The lean path (reverse settle order) must not drop the load
-        // either.
-        let mut ws = RoutingWorkspace::new();
-        let mut load = Vec::new();
-        let weighted = route_loads_into(&g, len, uniform_traffic, &mut ws, &mut load).unwrap();
-        assert_eq!(weighted, r.traffic_weighted_route_length);
-        assert_eq!(load[pair_slot(3, 0, 2)], 4.0);
-        assert_eq!(load[pair_slot(3, 1, 2)], 4.0);
-    }
-
-    #[test]
-    fn route_loads_into_matches_route_traffic() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]).unwrap();
-        let len = |u: usize, v: usize| ((u + 2 * v) % 5 + 1) as f64 * 0.1;
-        let sym = move |u: usize, v: usize| if u < v { len(u, v) } else { len(v, u) };
-        let traffic = |s: usize, t: usize| ((s * 3 + t) % 4) as f64;
-        let full = route_traffic(&g, sym, traffic).unwrap();
-        let mut ws = RoutingWorkspace::new();
-        let mut load = Vec::new();
-        let weighted = route_loads_into(&g, sym, traffic, &mut ws, &mut load).unwrap();
-        assert_eq!(weighted, full.traffic_weighted_route_length, "Σ t·L must be bit-identical");
-        assert_eq!(load.len(), 10);
-        let m = crate::AdjacencyMatrix::from_edges(5, &full.edges).unwrap();
-        for (i, &(u, v)) in full.edges.iter().enumerate() {
-            assert_eq!(load[m.pair_index(u, v)], full.load[i], "load on ({u},{v})");
-        }
-        // Non-edges carry nothing.
-        let carried: f64 = full.load.iter().sum();
-        let total: f64 = load.iter().sum();
-        assert_eq!(carried, total);
-    }
-
-    #[test]
-    fn route_loads_into_reuses_workspace_across_graphs() {
-        let mut ws = RoutingWorkspace::new();
-        let mut load = Vec::new();
-        // Larger graph first, then smaller: buffers must shrink correctly.
-        let big = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
-        route_loads_into(&big, |_, _| 1.0, uniform_traffic, &mut ws, &mut load).unwrap();
-        let small = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let weighted =
-            route_loads_into(&small, |_, _| 1.0, uniform_traffic, &mut ws, &mut load).unwrap();
-        let full = route_traffic(&small, |_, _| 1.0, uniform_traffic).unwrap();
-        assert_eq!(weighted, full.traffic_weighted_route_length);
-        assert_eq!(load.len(), 6);
-        let m = crate::AdjacencyMatrix::from_edges(4, &full.edges).unwrap();
-        for (i, &(u, v)) in full.edges.iter().enumerate() {
-            assert_eq!(load[m.pair_index(u, v)], full.load[i]);
-        }
-    }
-
-    #[test]
-    fn route_loads_into_reports_disconnection() {
-        let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
-        let mut ws = RoutingWorkspace::new();
-        let mut load = Vec::new();
-        assert_eq!(
-            route_loads_into(&g, |_, _| 1.0, uniform_traffic, &mut ws, &mut load).unwrap_err(),
-            GraphError::Disconnected
-        );
     }
 
     #[test]
     fn source_weighted_demand_folds_to_the_routed_total_bit_for_bit() {
-        // Per-source terms computed through the public wrapper, folded in
-        // ascending source order, must equal route_loads_into's Σ t·L
-        // exactly — this identity is what lets delta-evaluation recompute
-        // only repaired sources.
+        // Per-source terms folded in ascending source order must equal
+        // route_traffic's Σ t·L exactly — this identity is what lets
+        // delta-evaluation recompute only repaired sources.
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]).unwrap();
         let len = |u: usize, v: usize| ((u + 2 * v) % 5 + 1) as f64 * 0.1;
         let sym = move |u: usize, v: usize| if u < v { len(u, v) } else { len(v, u) };
         let traffic = |s: usize, t: usize| ((s * 3 + t) % 4) as f64;
-        let mut ws = RoutingWorkspace::new();
-        let mut load = Vec::new();
-        let total = route_loads_into(&g, sym, traffic, &mut ws, &mut load).unwrap();
+        let total = route_traffic(&g, sym, traffic).unwrap().traffic_weighted_route_length;
         let mut demand = Vec::new();
         let mut folded = 0.0f64;
         for s in 0..g.n() {
-            let tree = dijkstra(&g, s, sym);
+            let tree = crate::shortest_path::dijkstra(&g, s, sym);
             folded += source_weighted_demand(s, &tree.dist, traffic, &mut demand).unwrap();
         }
         assert_eq!(folded, total, "per-source fold must be bit-identical");

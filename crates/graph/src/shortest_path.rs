@@ -50,11 +50,69 @@ impl ShortestPathTree {
     }
 }
 
-/// Max-heap entry ordered so the smallest `(dist, node)` pops first.
-#[derive(Debug)]
-struct HeapItem {
-    dist: f64,
-    node: usize,
+/// Adjacency in compressed sparse row form with each arc's length.
+///
+/// Node `u`'s arcs are the `(neighbor, length)` pairs
+/// `arcs[start[u]..start[u + 1]]`, in [`Graph::neighbors`] order. Built
+/// once per topology, it lets the n per-source Dijkstra runs read one
+/// contiguous array instead of calling the length closure ~2m times each.
+#[derive(Debug, Clone, Default)]
+pub struct Csr {
+    start: Vec<usize>,
+    arcs: Vec<(usize, f64)>,
+}
+
+impl Csr {
+    /// The CSR of `g` with arc lengths `len(u, v)`.
+    ///
+    /// # Panics
+    /// As for [`build`](Self::build).
+    pub fn new(g: &Graph, len: impl Fn(usize, usize) -> f64) -> Self {
+        let mut csr = Self::default();
+        csr.build(g, len);
+        csr
+    }
+
+    /// Rebuilds `self` as the CSR of `g`, reusing its buffers.
+    ///
+    /// # Panics
+    /// Panics if `len` gives an arc a negative or NaN length.
+    pub fn build(&mut self, g: &Graph, len: impl Fn(usize, usize) -> f64) {
+        let n = g.n();
+        self.start.clear();
+        self.arcs.clear();
+        self.start.reserve(n + 1);
+        self.start.push(0);
+        for u in 0..n {
+            for &v in g.neighbors(u) {
+                let w = len(u, v);
+                assert!(w >= 0.0, "negative or NaN edge length on ({u},{v}): {w}");
+                self.arcs.push((v, w));
+            }
+            self.start.push(self.arcs.len());
+        }
+    }
+
+    fn n(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    /// The arcs out of `u` as `(neighbor, length)`, in neighbor order.
+    pub fn arcs(&self, u: usize) -> &[(usize, f64)] {
+        &self.arcs[self.start[u]..self.start[u + 1]]
+    }
+}
+
+/// A Dijkstra heap entry. `BinaryHeap` is a max-heap, so the order is
+/// reversed: the smallest `(dist, node)` pops first, with `total_cmp` on
+/// the distance. Every shortest-path computation, full or repaired, uses
+/// this one order.
+#[derive(Debug, Clone, Copy)]
+pub struct HeapItem {
+    /// Tentative distance of `node`.
+    pub dist: f64,
+    /// The node.
+    pub node: usize,
 }
 
 impl PartialEq for HeapItem {
@@ -70,7 +128,6 @@ impl PartialOrd for HeapItem {
 }
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the min element.
         other.dist.total_cmp(&self.dist).then_with(|| other.node.cmp(&self.node))
     }
 }
@@ -78,9 +135,9 @@ impl Ord for HeapItem {
 /// Reusable buffers for repeated Dijkstra runs.
 ///
 /// All-pairs routing runs one Dijkstra per source per candidate topology,
-/// which makes the four per-call allocations (`dist`, `parent`, `done` and
-/// the heap) the dominant allocator traffic of the GA's hot path. A
-/// workspace amortizes them: [`run`](Self::run) reuses the buffers and the
+/// which makes the per-call allocations (`dist`, `parent`, `done` and the
+/// heap) the dominant allocator traffic of the GA's hot path. A workspace
+/// amortizes them: [`run_csr`](Self::run_csr) reuses the buffers and the
 /// results stay readable through [`dist`](Self::dist) /
 /// [`parent`](Self::parent) until the next run.
 #[derive(Debug, Default)]
@@ -89,7 +146,6 @@ pub struct DijkstraWorkspace {
     parent: Vec<usize>,
     done: Vec<bool>,
     heap: BinaryHeap<HeapItem>,
-    order: Vec<usize>,
 }
 
 impl DijkstraWorkspace {
@@ -98,41 +154,18 @@ impl DijkstraWorkspace {
         Self::default()
     }
 
-    /// Runs Dijkstra from `source`, overwriting the workspace buffers.
+    /// Runs Dijkstra from `source` over `csr`, overwriting the workspace
+    /// buffers. This is the crate's one shortest-path loop.
     ///
-    /// Produces bit-identical distances and parents to [`dijkstra`].
-    ///
-    /// # Panics
-    /// As for [`dijkstra`].
-    pub fn run(&mut self, g: &Graph, source: usize, len: impl Fn(usize, usize) -> f64) {
-        run_dijkstra(
-            g,
-            source,
-            len,
-            &mut self.dist,
-            &mut self.parent,
-            &mut self.done,
-            &mut self.heap,
-            &mut self.order,
-        );
-    }
-
-    /// Runs Dijkstra from `source` over a CSR adjacency: node `u`'s
-    /// neighbors are `node[start[u]..start[u + 1]]` with arc lengths at the
-    /// same indices of `len` (`n = start.len() - 1`).
-    ///
-    /// With a CSR built in the same neighbor order from the same length
-    /// function, this is bit-identical to [`run`](Self::run) — the
-    /// relaxation sequence and arithmetic are unchanged, only the length
-    /// lookups are precomputed. Repeated sources on one graph amortize the
-    /// CSR build, and the contiguous length array replaces ~2m closure
-    /// calls per source.
+    /// Equal-cost ties are resolved deterministically: the parent is the
+    /// predecessor minimizing `(dist, node id)`, so the tree is a pure
+    /// function of the graph and its lengths and agrees bit for bit with
+    /// incrementally repaired trees.
     ///
     /// # Panics
-    /// Panics if `source >= n`. Lengths must already be validated
-    /// non-negative by the CSR builder.
-    pub fn run_csr(&mut self, source: usize, start: &[usize], node: &[usize], len: &[f64]) {
-        let n = start.len().saturating_sub(1);
+    /// Panics if `source >= n`.
+    pub fn run_csr(&mut self, source: usize, csr: &Csr) {
+        let n = csr.n();
         assert!(source < n, "source {source} out of range (n={n})");
         self.dist.clear();
         self.dist.resize(n, f64::INFINITY);
@@ -141,7 +174,6 @@ impl DijkstraWorkspace {
         self.done.clear();
         self.done.resize(n, false);
         self.heap.clear();
-        self.order.clear();
         self.dist[source] = 0.0;
         self.parent[source] = source;
         self.heap.push(HeapItem { dist: 0.0, node: source });
@@ -150,10 +182,8 @@ impl DijkstraWorkspace {
                 continue;
             }
             self.done[u] = true;
-            self.order.push(u);
-            for k in start[u]..start[u + 1] {
-                let v = node[k];
-                let nd = d + len[k];
+            for &(v, w) in csr.arcs(u) {
+                let nd = d + w;
                 // Strict `<` makes the parent the *first* relaxer to reach
                 // the final label. Relaxers are settled vertices, so they
                 // arrive in `(dist, id)` heap order: under equal-cost paths
@@ -180,91 +210,39 @@ impl DijkstraWorkspace {
         &self.parent
     }
 
-    /// Settle order of the last run: reachable nodes in the order Dijkstra
-    /// finalized them (nondecreasing distance, source first; unreachable
-    /// nodes absent). Every tree child appears strictly *after* its parent
-    /// — zero-length edges included, since a child's final label is
-    /// assigned no earlier than at its parent's settling and it pops
-    /// strictly later — so the reversed order is a children-first
-    /// traversal of the shortest-path tree.
-    pub fn settle_order(&self) -> &[usize] {
-        &self.order
-    }
-}
-
-/// Shared Dijkstra core writing into caller-provided buffers.
-#[allow(clippy::too_many_arguments)]
-fn run_dijkstra(
-    g: &Graph,
-    source: usize,
-    len: impl Fn(usize, usize) -> f64,
-    dist: &mut Vec<f64>,
-    parent: &mut Vec<usize>,
-    done: &mut Vec<bool>,
-    heap: &mut BinaryHeap<HeapItem>,
-    order: &mut Vec<usize>,
-) {
-    let n = g.n();
-    assert!(source < n, "source {source} out of range (n={n})");
-    dist.clear();
-    dist.resize(n, f64::INFINITY);
-    parent.clear();
-    parent.resize(n, usize::MAX);
-    done.clear();
-    done.resize(n, false);
-    heap.clear();
-    order.clear();
-    dist[source] = 0.0;
-    parent[source] = source;
-    heap.push(HeapItem { dist: 0.0, node: source });
-    while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
-        if done[u] {
-            continue;
-        }
-        done[u] = true;
-        order.push(u);
-        for &v in g.neighbors(u) {
-            let w = len(u, v);
-            assert!(w >= 0.0, "negative or NaN edge length on ({u},{v}): {w}");
-            let nd = d + w;
-            // Same canonical tie-break as `run_csr`: first relaxer wins,
-            // which in settle order is the `(dist[u], u)`-minimal parent.
-            if nd < dist[v] {
-                dist[v] = nd;
-                parent[v] = u;
-                heap.push(HeapItem { dist: nd, node: v });
-            }
-        }
+    /// The last run, from `source`, as an owned tree.
+    pub(crate) fn tree(&self, source: usize) -> ShortestPathTree {
+        ShortestPathTree { source, dist: self.dist.clone(), parent: self.parent.clone() }
     }
 }
 
 /// Dijkstra's algorithm from `source` with edge lengths given by `len`.
 ///
 /// `len(u, v)` is only called for actual edges of `g` and must be
-/// non-negative and finite. Equal-cost ties are resolved deterministically:
-/// the parent is the predecessor minimizing `(dist, node id)`, so the
-/// returned tree is a pure function of its inputs and agrees bit-for-bit
-/// with incrementally repaired trees.
+/// non-negative and finite. Ties resolve as in
+/// [`DijkstraWorkspace::run_csr`].
 ///
 /// # Panics
 /// Panics if `source >= g.n()` or a negative/NaN length is produced.
 pub fn dijkstra(g: &Graph, source: usize, len: impl Fn(usize, usize) -> f64) -> ShortestPathTree {
-    let n = g.n();
-    let mut dist = Vec::with_capacity(n);
-    let mut parent = Vec::with_capacity(n);
-    let mut done = Vec::with_capacity(n);
-    let mut heap = BinaryHeap::with_capacity(n);
-    let mut order = Vec::with_capacity(n);
-    run_dijkstra(g, source, len, &mut dist, &mut parent, &mut done, &mut heap, &mut order);
-    ShortestPathTree { source, dist, parent }
+    let mut ws = DijkstraWorkspace::new();
+    ws.run_csr(source, &Csr::new(g, len));
+    ws.tree(source)
 }
 
 /// All-pairs shortest paths: one [`ShortestPathTree`] per source.
 ///
 /// O(n · (m log n)) — the routing/capacity computation of §3.2.1 calls this
 /// once per candidate topology, which is the dominant cost of the GA.
-pub fn apsp(g: &Graph, len: impl Fn(usize, usize) -> f64 + Copy) -> Vec<ShortestPathTree> {
-    (0..g.n()).map(|s| dijkstra(g, s, len)).collect()
+pub fn apsp(g: &Graph, len: impl Fn(usize, usize) -> f64) -> Vec<ShortestPathTree> {
+    let csr = Csr::new(g, len);
+    let mut ws = DijkstraWorkspace::new();
+    (0..g.n())
+        .map(|s| {
+            ws.run_csr(s, &csr);
+            ws.tree(s)
+        })
+        .collect()
 }
 
 /// BFS hop counts from `source`; `usize::MAX` marks unreachable nodes.
@@ -359,23 +337,25 @@ mod tests {
         let (g, len) = square();
         let other = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
         let mut ws = DijkstraWorkspace::new();
+        let csr = Csr::new(&g, len);
         for s in 0..4 {
-            ws.run(&g, s, len);
+            ws.run_csr(s, &csr);
             let fresh = dijkstra(&g, s, len);
             assert_eq!(ws.dist(), &fresh.dist[..]);
             assert_eq!(ws.parent(), &fresh.parent[..]);
         }
         // Reuse on a *larger* graph must resize, not truncate.
-        ws.run(&other, 5, |_, _| 1.0);
+        ws.run_csr(5, &Csr::new(&other, |_, _| 1.0));
         let fresh = dijkstra(&other, 5, |_, _| 1.0);
         assert_eq!(ws.dist(), &fresh.dist[..]);
         assert_eq!(ws.parent(), &fresh.parent[..]);
     }
 
     #[test]
-    fn csr_run_matches_closure_run_and_orders_children_after_parents() {
-        // Includes a zero-length edge (1,2): settle order must still place
-        // tree child after parent despite the distance tie.
+    fn zero_length_edges_give_an_acyclic_tree() {
+        // The zero-length edge (1,2) ties parent and child on distance;
+        // every parent must still be a real relaxer and every path must
+        // lead back to the source.
         let g = Graph::from_edges(4, &[(0, 2), (1, 2), (1, 3)]).unwrap();
         let len = |u: usize, v: usize| {
             let (u, v) = if u < v { (u, v) } else { (v, u) };
@@ -385,35 +365,21 @@ mod tests {
                 1.0
             }
         };
-        // CSR in g.neighbors order.
-        let n = g.n();
-        let (mut start, mut node, mut elen) = (vec![0], Vec::new(), Vec::new());
-        for u in 0..n {
-            for &v in g.neighbors(u) {
-                node.push(v);
-                elen.push(len(u, v));
-            }
-            start.push(node.len());
-        }
-        let mut csr_ws = DijkstraWorkspace::new();
-        let mut ws = DijkstraWorkspace::new();
-        for s in 0..n {
-            csr_ws.run_csr(s, &start, &node, &elen);
-            ws.run(&g, s, len);
-            assert_eq!(csr_ws.dist(), ws.dist());
-            assert_eq!(csr_ws.parent(), ws.parent());
-            assert_eq!(csr_ws.settle_order(), ws.settle_order());
-            let order = csr_ws.settle_order();
-            assert_eq!(order[0], s, "source settles first");
-            assert_eq!(order.len(), n, "connected: everyone settles");
-            let pos = |x: usize| order.iter().position(|&v| v == x).unwrap();
-            for v in 0..n {
+        for s in 0..g.n() {
+            let t = dijkstra(&g, s, len);
+            assert!(t.all_reachable());
+            for v in 0..g.n() {
+                let path = t.path_to(v).expect("connected");
+                assert_eq!((path[0], path[path.len() - 1]), (s, v));
                 if v != s {
-                    let p = csr_ws.parent()[v];
-                    assert!(pos(p) < pos(v), "parent {p} must settle before child {v} (s={s})");
+                    let p = t.parent[v];
+                    assert_eq!(t.dist[v], t.dist[p] + len(p, v), "s={s} v={v}");
                 }
             }
         }
+        // From 0 the tie at distance 1 resolves to the direct edge: 1
+        // hangs off 2 over the zero-length link.
+        assert_eq!(dijkstra(&g, 0, len).parent, vec![0, 2, 0, 1]);
     }
 
     #[test]
@@ -444,29 +410,24 @@ mod tests {
         // 5 is reachable at cost 3 via both 3 and 4; 3 settles first.
         assert_eq!(t.parent[5], 3);
 
-        // The CSR runner agrees exactly, and so does a CSR with the
-        // neighbor lists reversed — the canonical parent does not depend
-        // on per-vertex relaxation order.
+        // A CSR with the neighbor lists reversed agrees exactly — the
+        // canonical parent does not depend on per-vertex relaxation order.
         let n = g.n();
         let build = |rev: bool| {
-            let (mut start, mut node, mut elen) = (vec![0], Vec::new(), Vec::new());
+            let mut csr = Csr { start: vec![0], arcs: Vec::new() };
             for u in 0..n {
                 let mut nbrs: Vec<usize> = g.neighbors(u).to_vec();
                 if rev {
                     nbrs.reverse();
                 }
-                for v in nbrs {
-                    node.push(v);
-                    elen.push(1.0);
-                }
-                start.push(node.len());
+                csr.arcs.extend(nbrs.into_iter().map(|v| (v, 1.0)));
+                csr.start.push(csr.arcs.len());
             }
-            (start, node, elen)
+            csr
         };
         for rev in [false, true] {
-            let (start, node, elen) = build(rev);
             let mut ws = DijkstraWorkspace::new();
-            ws.run_csr(0, &start, &node, &elen);
+            ws.run_csr(0, &build(rev));
             assert_eq!(ws.dist(), &t.dist[..], "rev={rev}");
             assert_eq!(ws.parent(), &t.parent[..], "rev={rev}");
         }

@@ -63,11 +63,29 @@ fn graphml() -> &'static [u8] {
     })
 }
 
-/// What the damage properties draw from: every fixture and the GraphML
-/// export.
+/// Two-node GraphML documents that parse but carry one unusable value: a
+/// population of `-1`, `NaN` or `inf`, or a `NaN`/`inf` coordinate.
+fn bad_graphml() -> Vec<Vec<u8>> {
+    let doc = |x: &str, pop: &str| {
+        format!(
+            "<graphml><graph edgedefault=\"undirected\">\n\
+             <node id=\"a\"><data key=\"x\">{x}</data><data key=\"y\">0</data>\
+             <data key=\"pop\">{pop}</data></node>\n\
+             <node id=\"b\"><data key=\"x\">1</data><data key=\"y\">1</data>\
+             <data key=\"pop\">2</data></node>\n\
+             <edge source=\"a\" target=\"b\"/>\n</graph></graphml>\n"
+        )
+        .into_bytes()
+    };
+    vec![doc("0", "-1"), doc("0", "NaN"), doc("0", "inf"), doc("NaN", "1"), doc("inf", "1")]
+}
+
+/// What the damage properties draw from: every fixture, the GraphML
+/// export and the GraphML documents with unusable values.
 fn inputs() -> Vec<Vec<u8>> {
     let mut out = fixtures();
     out.push(graphml().to_vec());
+    out.extend(bad_graphml());
     out
 }
 
@@ -154,6 +172,17 @@ fn graphml_export_imports() {
     let text = String::from_utf8_lossy(graphml());
     let graph = cold::graphml_in::parse_graphml(&text).expect("export parses");
     assert!(graph.to_context().is_some(), "export carries coordinates");
+}
+
+#[test]
+fn graphml_with_unusable_values_yields_no_context() {
+    for doc in bad_graphml() {
+        decode_everywhere(&doc);
+        let text = String::from_utf8_lossy(&doc);
+        let graph = cold::graphml_in::parse_graphml(&text).expect("well-formed document");
+        assert_eq!(graph.topology.edge_count(), 1);
+        assert!(graph.to_context().is_none(), "{text}");
+    }
 }
 
 #[test]

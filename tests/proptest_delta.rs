@@ -7,9 +7,14 @@
 //! routine flips cross the fallback boundary — plus a forced multi-edge
 //! batch per chain that is guaranteed to exceed `max_flips`. Both must
 //! agree with the full recomputation on every step, to the bit.
+//!
+//! Every step is also checked against `evaluate_parts(..).0.total()`,
+//! the report path: it prices from the capacity plan's routed loads, so it
+//! does not share the full pass that `evaluate_total` and the sessions'
+//! anchors run.
 
 use cold_context::ContextConfig;
-use cold_cost::{evaluate_total, CostParams, DeltaEval};
+use cold_cost::{evaluate_parts, evaluate_total, CostParams, DeltaEval};
 use cold_graph::components::matrix_is_connected;
 use cold_graph::mst::mst_matrix;
 use cold_graph::AdjacencyMatrix;
@@ -64,6 +69,8 @@ fn check_chain(n: usize, steps: usize, seed: u64, k2: f64, k3: f64) -> Result<()
                  tight: &mut DeltaEval|
      -> Result<(), TestCaseError> {
         let full = evaluate_total(topo, &ctx, &params).unwrap();
+        let report = evaluate_parts(topo, &ctx, &params).unwrap().0.total();
+        prop_assert_eq!(full.to_bits(), report.to_bits(), "evaluate_total left the report path");
         let a = wide.eval(topo, prev).unwrap();
         let b = tight.eval(topo, prev).unwrap();
         prop_assert_eq!(a.to_bits(), full.to_bits(), "wide session diverged");
